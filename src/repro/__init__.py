@@ -32,13 +32,8 @@ from repro.api import (
     run_simulation,
 )
 from repro.config import SystemConfig
-from repro.core.policy import (
-    EnergyAwareConfig,
-    Policy,
-    PolicyDefinition,
-    PolicySpec,
-    policy_names,
-)
+from repro.core.policy import EnergyAwareConfig
+from repro.core.policyspec import PolicyDefinition, PolicySpec, policy_names
 from repro.obs import ObservabilityConfig
 from repro.core.profile import ProfileConfig
 from repro.cpu.power import PowerModelParams
@@ -66,7 +61,6 @@ __all__ = [
     "MachineSpec",
     "ObservabilityConfig",
     "PROGRAMS",
-    "Policy",
     "PolicyComparison",
     "PolicyDefinition",
     "PolicySpec",

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig, Policy, PolicySpec
+from repro.core.policy import EnergyAwareConfig
+from repro.core.policyspec import PolicySpec
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind, EventRecord
@@ -238,7 +239,7 @@ class RunOptions:
     writing a checkpoint every ``checkpoint_every_s`` simulated seconds.
     """
 
-    policy: PolicySpec | Policy | str | None = None
+    policy: PolicySpec | str | None = None
     policy_config: EnergyAwareConfig | None = None
     duration_s: float | None = None
     fast_path: bool | None = None
@@ -260,7 +261,7 @@ class RunOptions:
 def run_simulation(
     config: SystemConfig,
     workload: WorkloadSpec,
-    policy: PolicySpec | Policy | str | None = None,
+    policy: PolicySpec | str | None = None,
     policy_config: EnergyAwareConfig | None = None,
     duration_s: float | None = None,
     fast_path: bool | None = None,
@@ -275,10 +276,9 @@ def run_simulation(
     error.  Defaults: ``policy="energy"``, ``duration_s=300``,
     ``fast_path=True``, ``validate=False``, ``obs=False``.
 
-    ``policy`` accepts a :class:`~repro.core.policy.PolicySpec`, a
-    :class:`~repro.core.policy.Policy` member, a name string, or a
-    ``{"name": ..., "params": {...}}`` mapping; unknown names raise
-    ``ValueError`` up front.
+    ``policy`` accepts a :class:`~repro.core.policyspec.PolicySpec`, a name
+    string, or a ``{"name": ..., "params": {...}}`` mapping; unknown
+    names raise ``ValueError`` up front.
     ``fast_path`` selects the batched tick loop (the default) or the
     scalar reference implementation — results are bit-identical either
     way (the perf harness asserts this), so the flag exists for
@@ -321,7 +321,7 @@ def run_simulation(
             validate=validate,
             obs=obs,
         )
-    policy = options.policy if options.policy is not None else Policy.ENERGY
+    policy = options.policy if options.policy is not None else "energy"
     duration_s = options.duration_s if options.duration_s is not None else 300.0
     fast_path = options.fast_path if options.fast_path is not None else True
     validate = options.validate if options.validate is not None else False
@@ -410,14 +410,14 @@ def compare_policies(
     baseline = run_simulation(
         config,
         workload,
-        policy=Policy.BASELINE,
+        policy="baseline",
         duration_s=duration_s,
         fast_path=fast_path,
     )
     energy = run_simulation(
         config,
         workload,
-        policy=Policy.ENERGY,
+        policy="energy",
         policy_config=policy_config,
         duration_s=duration_s,
         fast_path=fast_path,

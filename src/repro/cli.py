@@ -895,20 +895,20 @@ def _cmd_perf(parser, args) -> int:
 
 
 def _cmd_tournament(parser, args) -> int:
+    from repro.perf import scenario_by_name
     from repro.tournament import (
         DEFAULT_DURATION_S,
+        TOURNAMENT_SCENARIOS,
         format_policy_report,
         run_tournament,
-        tournament_scenario_by_name,
         write_policies_json,
     )
 
     scenarios = None
     if args.scenarios:
         try:
-            scenarios = [
-                tournament_scenario_by_name(name) for name in args.scenarios
-            ]
+            scenarios = [scenario_by_name(name, TOURNAMENT_SCENARIOS)
+                         for name in args.scenarios]
         except ValueError as exc:
             parser.error(str(exc))
     policies = None
@@ -998,41 +998,41 @@ def _cmd_validate(parser, args) -> int:
     return 0 if payload["ok"] else 1
 
 
+def _load_scenario_file(parser, path):
+    """Parse a scenario JSON file; a missing file or bad content exits
+    with a one-line usage error instead of a traceback."""
+    from repro.scenario import load_scenario
+
+    try:
+        return load_scenario(path)
+    except (OSError, ValueError, KeyError) as exc:
+        parser.error(f"cannot load scenario {path!r}: {exc}")
+
+
 def _run_observed(parser, args):
     """Shared trace/explain execution: resolve the source, run with
     observability on, return (result, scenario name)."""
     from repro.api import run_simulation
 
     if args.file is not None:
-        from repro.scenario import load_scenario
+        scenario = _load_scenario_file(parser, args.file)
+        name, default_duration = scenario.workload.name, scenario.duration_s
+    else:
+        from repro.perf import scenario_by_name
+        from repro.scenario import parse_scenario
 
         try:
-            scenario = load_scenario(args.file)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load scenario {args.file!r}: {exc}")
-        duration = (
-            args.duration if args.duration is not None else scenario.duration_s
-        )
-        result = run_simulation(
-            scenario.config, scenario.workload, policy=scenario.policy,
-            duration_s=duration, obs=True,
-        )
-        return result, scenario.workload.name
-    from repro.perf import scenario_by_name
-
-    try:
-        scenario = scenario_by_name(args.scenario)
-    except ValueError as exc:
-        parser.error(str(exc))
-    config, workload = scenario.build()
-    duration = (
-        args.duration if args.duration is not None else OBS_DEFAULT_DURATION_S
-    )
+            pinned = scenario_by_name(args.scenario)
+        except ValueError as exc:
+            parser.error(str(exc))
+        scenario = parse_scenario(pinned.scenario)
+        name, default_duration = pinned.name, OBS_DEFAULT_DURATION_S
+    duration = args.duration if args.duration is not None else default_duration
     result = run_simulation(
-        config, workload, policy=scenario.policy, duration_s=duration,
-        obs=True,
+        scenario.config, scenario.workload, policy=scenario.policy,
+        duration_s=duration, obs=True,
     )
-    return result, scenario.name
+    return result, name
 
 
 def _cmd_trace(parser, args) -> int:
@@ -1248,9 +1248,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "run-file":
         from repro.analysis.export import run_summary_json
-        from repro.scenario import load_scenario
 
-        scenario = load_scenario(args.path)
+        scenario = _load_scenario_file(parser, args.path)
         if args.checkpoint is not None:
             from repro.resilience import run_simulation_checkpointed
 

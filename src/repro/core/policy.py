@@ -16,21 +16,12 @@ components can be switched off individually for ablation studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping, Protocol
 
 from repro.core.energy_balance import EnergyBalanceConfig, EnergyBalancer
 from repro.core.hot_migration import HotMigrationConfig, HotTaskMigrator
 from repro.core.metrics import MetricsBoard
 from repro.core.placement import InitialPlacement, PlacementConfig
-from repro.core.policyspec import (  # noqa: F401  (re-exported API surface)
-    POLICY_REGISTRY,
-    PolicyDefinition,
-    PolicySpec,
-    canonical_policy_value,
-    definition_by_name,
-    policy_names,
-)
 from repro.core.profile import ProfileConfig
 from repro.sched.domains import DomainHierarchy
 from repro.sched.load_balance import LoadBalanceConfig, load_balance_pass
@@ -38,43 +29,6 @@ from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
 
 MigrateFn = Callable[[Task, int, int, str], None]
-
-
-class Policy(str, Enum):
-    """The two scheduler configurations the paper compares (§6).
-
-    A ``str`` subclass so existing call sites, scenario files, and
-    exported results that use the plain strings ``"energy"`` and
-    ``"baseline"`` keep working unchanged.  This enum predates the
-    parameterized :class:`repro.core.policyspec.PolicySpec` registry and
-    survives as a compatibility shim: members coerce transparently via
-    :meth:`PolicySpec.coerce`, which is now where the public API turns
-    user input into a policy.
-    """
-
-    #: the paper's energy-aware scheduler (balancing + hot migration +
-    #: energy-aware placement)
-    ENERGY = "energy"
-    #: unmodified Linux behaviour: vanilla load balancing, least-loaded
-    #: placement, no active migration
-    BASELINE = "baseline"
-
-    @classmethod
-    def coerce(cls, value: "Policy | str") -> "Policy":
-        """Normalise a policy argument, rejecting unknown names.
-
-        Accepts a member or its string value (case-insensitive for
-        strings, since scenario files are hand-written).
-        """
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                pass
-        valid = ", ".join(repr(m.value) for m in cls)
-        raise ValueError(f"unknown policy {value!r}; expected one of {valid}")
 
 
 class SchedulingPolicy(Protocol):

@@ -1,13 +1,12 @@
 """Parameterized policy specifications and the policy registry.
 
-The original API exposed exactly two policies as a flat ``str`` enum:
-``energy`` and ``baseline``.  The DVFS family (§2.3 — "the road not
-taken") needs more than a name: a frequency ladder, hysteresis margins,
-a temperature target.  :class:`PolicySpec` carries ``name + params``
-while staying drop-in compatible with every call site that passed a
-bare string or a :class:`repro.core.policy.Policy` member:
+The paper compares two schedulers, ``energy`` and ``baseline``; the
+DVFS family (§2.3 — "the road not taken") needs more than a name: a
+frequency ladder, hysteresis margins, a temperature target.
+:class:`PolicySpec` carries ``name + params`` and is the one policy
+type; every call site that takes a policy also takes a bare name:
 
-* ``PolicySpec.coerce("energy")``, ``coerce(Policy.ENERGY)``,
+* ``PolicySpec.coerce("energy")``,
   ``coerce({"name": "dvfs-reactive", "params": {...}})`` and
   ``coerce(spec)`` all work;
 * a param-less spec compares and hashes equal to its name string, so
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -210,8 +208,6 @@ class PolicySpec:
                 other.params
             )
         if isinstance(other, str):
-            # Policy enum members are str subclasses; `==` compares the
-            # value, so this also covers `spec == Policy.ENERGY`.
             return not self.params and self.name == other
         return NotImplemented
 
@@ -303,14 +299,12 @@ class PolicySpec:
     def coerce(cls, value: "PolicySpec | str | Mapping[str, Any]") -> "PolicySpec":
         """Interpret any accepted policy spelling as a PolicySpec.
 
-        Accepts a PolicySpec (returned as-is), a Policy enum member, a
-        bare name string (case-insensitive), or a mapping of the shape
+        Accepts a PolicySpec (returned as-is), a bare name string
+        (case-insensitive), or a mapping of the shape
         ``{"name": ..., "params": {...}}``.
         """
         if isinstance(value, cls):
             return value
-        if isinstance(value, Enum):
-            value = value.value
         if isinstance(value, str):
             return cls(value.lower())
         if isinstance(value, Mapping):

@@ -43,10 +43,10 @@ from repro.perf.history import (
 )
 from repro.perf.scenarios import (
     FLEET_SCENARIO,
+    FLEET_SEEDS,
     HEADLINE_SCENARIO,
     REFERENCE_SCENARIOS,
-    FleetPerfScenario,
-    PerfScenario,
+    PinnedScenario,
     scenario_by_name,
 )
 
@@ -54,11 +54,11 @@ __all__ = [
     "BenchScenarioResult",
     "DEFAULT_THRESHOLD",
     "FLEET_SCENARIO",
-    "FleetPerfScenario",
+    "FLEET_SEEDS",
     "HEADLINE_SCENARIO",
     "HISTORY_PATH",
     "HISTORY_SCHEMA",
-    "PerfScenario",
+    "PinnedScenario",
     "REFERENCE_SCENARIOS",
     "append_history",
     "compare_entries",

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.api import run_simulation
+from repro.core.policyspec import canonical_policy_value
 from repro.perf.scenarios import (
     FLEET_SCENARIO,
+    FLEET_SEEDS,
     HEADLINE_SCENARIO,
     REFERENCE_SCENARIOS,
-    FleetPerfScenario,
-    PerfScenario,
+    PinnedScenario,
 )
+from repro.scenario import parse_scenario
 
 #: Schema tag for ``BENCH_perf.json``; bump on layout changes.
 #: v2 added the ``self_profile`` tick-phase breakdown; v3 added the
@@ -78,24 +80,24 @@ def _encode(summary: dict[str, float]) -> str:
 
 
 def _timed_run(
-    scenario: PerfScenario, duration_s: float, fast_path: bool
+    scenario: PinnedScenario, duration_s: float, fast_path: bool
 ) -> tuple[float, dict[str, float], int]:
-    config, workload = scenario.build()
+    parsed = parse_scenario(scenario.scenario)
     start = time.perf_counter()
     result = run_simulation(
-        config,
-        workload,
-        policy=scenario.policy,
+        parsed.config,
+        parsed.workload,
+        policy=parsed.policy,
         duration_s=duration_s,
         fast_path=fast_path,
     )
     wall_s = time.perf_counter() - start
-    ticks = int(round(duration_s * 1000.0)) // config.tick_ms
+    ticks = int(round(duration_s * 1000.0)) // parsed.config.tick_ms
     return wall_s, result.scalar_summary(), ticks
 
 
 def run_scenario(
-    scenario: PerfScenario,
+    scenario: PinnedScenario,
     duration_s: float | None = None,
     repeats: int = 2,
 ) -> BenchScenarioResult:
@@ -107,7 +109,8 @@ def run_scenario(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    duration = duration_s if duration_s is not None else scenario.duration_s
+    pinned = parse_scenario(scenario.scenario)
+    duration = duration_s if duration_s is not None else pinned.duration_s
     fast_wall, fast_summary, ticks = _timed_run(scenario, duration, True)
     scalar_wall, scalar_summary, _ = _timed_run(scenario, duration, False)
     for _ in range(repeats - 1):
@@ -128,7 +131,7 @@ def run_scenario(
     return BenchScenarioResult(
         name=scenario.name,
         description=scenario.description,
-        policy=scenario.policy.value,
+        policy=canonical_policy_value(pinned.policy),
         duration_s=duration,
         ticks=ticks,
         fast_wall_s=fast_wall,
@@ -139,15 +142,15 @@ def run_scenario(
 
 
 def _profiled_phase_report(
-    scenario: PerfScenario, duration_s: float, fast_path: bool
+    scenario: PinnedScenario, duration_s: float, fast_path: bool
 ) -> dict:
     from repro.obs import ObservabilityConfig
 
-    config, workload = scenario.build()
+    parsed = parse_scenario(scenario.scenario)
     result = run_simulation(
-        config,
-        workload,
-        policy=scenario.policy,
+        parsed.config,
+        parsed.workload,
+        policy=parsed.policy,
         duration_s=duration_s,
         fast_path=fast_path,
         obs=ObservabilityConfig(audit=False, metrics=False, profiling=True),
@@ -156,7 +159,7 @@ def _profiled_phase_report(
 
 
 def profile_scenario(
-    scenario: PerfScenario, duration_s: float | None = None
+    scenario: PinnedScenario, duration_s: float | None = None
 ) -> dict:
     """Tick-phase wall-time breakdown for both execution paths.
 
@@ -165,7 +168,8 @@ def profile_scenario(
     so a perf regression can be localised without re-instrumenting.
     """
     duration = min(
-        duration_s if duration_s is not None else scenario.duration_s,
+        duration_s if duration_s is not None
+        else parse_scenario(scenario.scenario).duration_s,
         PROFILE_DURATION_S,
     )
     return {
@@ -177,37 +181,41 @@ def profile_scenario(
 
 
 def run_fleet_benchmark(
-    scenario: FleetPerfScenario | None = None,
+    scenario: PinnedScenario | None = None,
     duration_s: float | None = None,
     repeats: int = 2,
 ) -> dict:
     """Benchmark the fleet engine against the per-job fast path.
 
     Both sides run the *same* pinned member configuration: the fleet
-    advances all ``n_machines`` systems on one :class:`FleetEngine`;
-    the per-job reference runs one member at a time through the scalar
-    fast path exactly as a ``run_grid`` pool worker would.  The figure
-    of merit is aggregate machine-ticks per wall-clock second — the
-    rate at which a sweep burns down simulated work per process.
+    advances one system per seed of :data:`FLEET_SEEDS` on one
+    :class:`FleetEngine`; the per-job reference runs one member at a
+    time through the scalar fast path exactly as a ``run_grid`` pool
+    worker would.  The figure of merit is aggregate machine-ticks per
+    wall-clock second — the rate at which a sweep burns down simulated
+    work per process.
 
     Correctness is asserted, not assumed: the first, middle, and last
     fleet members' ``scalar_summary()`` dicts must be byte-identical to
     fresh scalar runs of the same seeds.
     """
-    from repro.core.policy import Policy as _Policy
     from repro.fleet import FleetEngine
     from repro.system import System
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     scenario = scenario if scenario is not None else FLEET_SCENARIO
-    duration = duration_s if duration_s is not None else scenario.duration_s
-    seeds = list(scenario.seeds())
-    policy = _Policy.coerce(scenario.policy)
+    seeds = list(FLEET_SEEDS)
+
+    def member(seed: int):
+        return parse_scenario(dict(scenario.scenario, seed=seed))
+
+    first = member(seeds[0])
+    duration = duration_s if duration_s is not None else first.duration_s
 
     def _build(seed: int) -> System:
-        config, workload = scenario.build_member(seed)
-        return System(config, workload, policy=policy)
+        parsed = member(seed)
+        return System(parsed.config, parsed.workload, policy=parsed.policy)
 
     # -- fleet side: all machines on one engine -----------------------------
     fleet_wall = None
@@ -219,8 +227,7 @@ def run_fleet_benchmark(
         wall = time.perf_counter() - start
         fleet_wall = wall if fleet_wall is None else min(fleet_wall, wall)
         results = engine.results(duration)
-    tick_ms = scenario.build_member(seeds[0])[0].tick_ms
-    ticks = int(round(duration * 1000.0)) // tick_ms
+    ticks = int(round(duration * 1000.0)) // first.config.tick_ms
     machine_ticks = ticks * len(seeds)
 
     # -- per-job reference: one member per run, scalar fast path ------------
@@ -229,10 +236,10 @@ def run_fleet_benchmark(
     reference: dict[int, dict[str, float]] = {}
     for rep in range(repeats):
         for idx in check_idx:
-            config, workload = scenario.build_member(seeds[idx])
+            parsed = member(seeds[idx])
             start = time.perf_counter()
             result = run_simulation(
-                config, workload, policy=policy,
+                parsed.config, parsed.workload, policy=parsed.policy,
                 duration_s=duration, fast_path=True,
             )
             wall = time.perf_counter() - start
@@ -256,7 +263,7 @@ def run_fleet_benchmark(
     return {
         "name": scenario.name,
         "description": scenario.description,
-        "policy": policy.value,
+        "policy": canonical_policy_value(first.policy),
         "duration_s": duration,
         "n_machines": len(seeds),
         "seeds": [seeds[0], seeds[-1]],
@@ -278,7 +285,7 @@ def run_fleet_benchmark(
 
 
 def run_benchmarks(
-    scenarios: Iterable[PerfScenario] | None = None,
+    scenarios: Iterable[PinnedScenario] | None = None,
     duration_s: float | None = None,
     repeats: int = 2,
 ) -> dict:
@@ -287,7 +294,7 @@ def run_benchmarks(
     ``duration_s`` overrides every scenario's pinned duration (useful
     for quick local runs; the pinned values are what CI publishes).
     """
-    chosen: Sequence[PerfScenario] = (
+    chosen: Sequence[PinnedScenario] = (
         tuple(scenarios) if scenarios is not None else REFERENCE_SCENARIOS
     )
     if not chosen:

@@ -32,7 +32,8 @@ from typing import Callable
 
 from repro.api import SimulationResult
 from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig, Policy
+from repro.core.policy import EnergyAwareConfig
+from repro.core.policyspec import PolicySpec
 from repro.runner.cache import code_salt
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
@@ -176,7 +177,7 @@ def run_simulation_checkpointed(
     config: SystemConfig,
     workload: WorkloadSpec,
     checkpoint_path: str | pathlib.Path,
-    policy: Policy | str = Policy.ENERGY,
+    policy: PolicySpec | str = "energy",
     policy_config: EnergyAwareConfig | None = None,
     duration_s: float = 300.0,
     checkpoint_every_s: float = 60.0,
@@ -204,7 +205,7 @@ def run_simulation_checkpointed(
     system = System(
         config,
         workload,
-        policy=Policy.coerce(policy),
+        policy=policy,
         policy_config=policy_config,
         fast_path=fast_path,
         validate=validate,

@@ -59,15 +59,13 @@ from repro.workloads.programs import program
 class Scenario:
     """A parsed, runnable scenario.
 
-    ``policy`` stays a plain string for param-less policies (everything
-    pre-PolicySpec scenario files can express), and becomes a
-    :class:`~repro.core.policyspec.PolicySpec` when the scenario sets
-    policy parameters — either spelling coerces wherever it is used.
+    A param-less ``policy`` compares and hashes equal to its name, so
+    ``scenario.policy == "energy"`` holds for the plain spelling.
     """
 
     config: SystemConfig
     workload: WorkloadSpec
-    policy: str | PolicySpec
+    policy: PolicySpec
     duration_s: float
 
     def run(
@@ -233,15 +231,12 @@ def parse_scenario(data: dict) -> Scenario:
         seed=int(data.get("seed", 1)),
         **kwargs,
     )
-    # Accepts a name string or a {"name": ..., "params": {...}} mapping;
-    # unknown names/params raise here, before any run starts.  Param-less
-    # policies stay plain strings so `scenario.policy == "energy"` and
-    # every older call site keep working byte-for-byte.
-    spec = PolicySpec.coerce(data.get("policy", "energy"))
     return Scenario(
         config=config,
         workload=_parse_workload(data["workload"]),
-        policy=spec.name if not spec.params else spec,
+        # A name or a {"name": ..., "params": {...}} mapping; unknown
+        # names/params raise here, before any run starts.
+        policy=PolicySpec.coerce(data.get("policy", "energy")),
         duration_s=float(data.get("duration_s", 300.0)),
     )
 

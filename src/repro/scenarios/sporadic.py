@@ -15,7 +15,8 @@ Generation works per task set:
 * split the ``utilization`` budget across tasks with the UUniFast
   algorithm (Bini & Buttazzo) — uniform over the simplex, so small and
   large shares both occur — then ``C_i = U_i * T_i``;
-* release jobs sporadically: consecutive releases are separated by
+* release jobs sporadically: the first release falls uniformly in
+  ``[0, min(T_i, horizon_s))``, consecutive releases are separated by
   ``T_i * (1 + jitter)`` with jitter uniform in ``[0, release_slack]``
   (0 = strictly periodic), each release a ``respawn="none"`` fork/exit
   job of length ``C_i``.
@@ -90,8 +91,9 @@ def _generate_sporadic(
         wcet = max(wcet_min, share * period)
         program = programs[i % len(programs)]
         # Sporadic releases: at least `period` apart, first release
-        # offset uniformly inside one period so tasks do not phase-lock.
-        t = rng.uniform(0.0, period)
+        # offset uniformly inside one period so tasks do not phase-lock,
+        # clipped to the horizon so every task releases at least once.
+        t = rng.uniform(0.0, min(period, horizon))
         while t < horizon:
             tasks.append({
                 "program": program,
@@ -103,7 +105,7 @@ def _generate_sporadic(
 
     if not tasks:
         raise ValueError(
-            f"{fam}: generated no jobs — horizon shorter than every period"
+            f"{fam}: generated no jobs within horizon_s={horizon}"
         )
     tasks.sort(key=lambda task: (task["arrival_s"], task["program"]))
     scenario: dict[str, Any] = {

@@ -35,10 +35,9 @@ from repro.core.policy import (
     BaselinePolicy,
     EnergyAwareConfig,
     EnergyAwarePolicy,
-    Policy,
-    PolicySpec,
     SchedulingPolicy,
 )
+from repro.core.policyspec import PolicySpec
 from repro.core.profile import EnergyProfile
 from repro.core.estimator import build_calibrated_estimator
 from repro.cpu.dvfs import (
@@ -133,7 +132,7 @@ class System:
         self,
         config: SystemConfig,
         workload: WorkloadSpec,
-        policy: PolicySpec | Policy | str = Policy.ENERGY,
+        policy: PolicySpec | str = "energy",
         policy_config: EnergyAwareConfig | None = None,
         tracer: Tracer | None = None,
         fast_path: bool = True,

@@ -9,10 +9,8 @@ from repro.tournament.harness import (
     POLICY_LINEUP,
     SCHEMA,
     TOURNAMENT_SCENARIOS,
-    TournamentScenario,
     format_policy_report,
     run_tournament,
-    tournament_scenario_by_name,
     write_policies_json,
 )
 
@@ -21,9 +19,7 @@ __all__ = [
     "POLICY_LINEUP",
     "SCHEMA",
     "TOURNAMENT_SCENARIOS",
-    "TournamentScenario",
     "format_policy_report",
     "run_tournament",
-    "tournament_scenario_by_name",
     "write_policies_json",
 ]

@@ -16,29 +16,29 @@ byte-compares the scalar summaries — so a fast-path regression in any
 policy regime fails the tournament, not just the pinned-policy perf
 set.
 
-Scenario set: the eight pinned perf configurations (same machines,
-seeds, workloads, and power budgets as ``repro.perf.scenarios``), minus
-their pinned policies — the policy axis belongs to the tournament.
-Because ``mixed-16cpu`` and ``mixed-16cpu-baseline`` differed only by
-pinned policy, their tournament columns share a configuration; the
-duplicate is kept deliberately — the two columns are computed
-independently and must agree exactly, a determinism cross-check inside
-the payload.  The two ``adv-*`` columns are :mod:`repro.scenarios`
-generator specs (the adversarial worst offenders); their cells expand
-the spec deterministically at run time.
+Scenario set: each column is derived from one of the eight pinned
+configurations in ``repro.perf.scenarios`` by dropping the axes the
+tournament owns (see :func:`_column`).  Because ``mixed-16cpu`` and
+``mixed-16cpu-baseline`` differ only by pinned policy and duration,
+their tournament columns share a configuration; the duplicate is kept
+deliberately — the two columns are computed independently and must
+agree exactly, a determinism cross-check inside the payload.  The two
+``adv-*`` columns are :mod:`repro.scenarios` generator specs (the
+adversarial worst offenders); their cells expand the spec
+deterministically at run time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.policyspec import (
     PolicySpec,
     canonical_policy_value,
     policy_names,
 )
+from repro.perf.scenarios import REFERENCE_SCENARIOS, PinnedScenario
 from repro.runner.executor import JobOutcome, run_grid
 from repro.runner.spec import JobSpec
 
@@ -55,152 +55,66 @@ DEFAULT_DURATION_S = 60.0
 POLICY_LINEUP: tuple[str, ...] = tuple(policy_names())
 
 
-@dataclass(frozen=True, slots=True)
-class TournamentScenario:
-    """One pinned race configuration.
+#: The tournament's own one-line description of each column.
+_COLUMN_DESCRIPTIONS = {
+    "mixed-16cpu": "16-CPU SMT, mixed Table-2 workload, no power budget",
+    "mixed-16cpu-baseline": (
+        "same configuration as mixed-16cpu (the perf set varied only "
+        "the pinned policy); doubles as a determinism cross-check"
+    ),
+    "mixed-8cpu-nosmt": (
+        "8-CPU non-SMT, mixed Table-2 workload, no power budget"
+    ),
+    "throttle-hlt": "16-CPU SMT, 20 W per logical CPU budget",
+    "throttle-package": "16-CPU SMT, 40 W per package budget",
+    "throttle-dvfs": "16-CPU SMT, 20 W per logical CPU budget, seed 13",
+    "adv-pingpong": (
+        "Adversarial hot/cool rotation (18 W budget, 4 CPU blocks), "
+        "migration ping-pong worst case"
+    ),
+    "adv-throttle-storm": (
+        "Adversarial hot/cool rotation (15 W budget, 4 CPU blocks), "
+        "hlt throttle-storm worst case"
+    ),
+}
 
-    ``scenario`` is the :func:`repro.scenario.parse_scenario` JSON
-    shape without ``policy`` or ``duration_s`` — the tournament supplies
-    both axes.
+
+def _column(pinned: PinnedScenario) -> PinnedScenario:
+    """A pinned configuration minus the axes the tournament owns.
+
+    The policy and the duration are the race's axes.  The
+    temperature-control mode is dropped too, so every column runs
+    ``hlt`` unless a policy forces its own (``hlt-throttle`` and the
+    ``dvfs-*`` family do).
     """
-
-    name: str
-    description: str
-    scenario: Mapping[str, Any]
-
-
-def _mixed16(
-    name: str,
-    smt: bool = True,
-    seed: int = 42,
-    copies: int = 6,
-    max_power_per_cpu_w: float | None = None,
-    throttle_scope: str | None = None,
-) -> dict[str, Any]:
-    """The ``_Mixed16`` perf configuration as a scenario dict."""
-    data: dict[str, Any] = {
-        "name": name,
-        "machine": {"preset": "ibm_x445", "smt": smt},
-        "seed": seed,
-        "workload": {"builder": "mixed_table2", "copies": copies},
-    }
-    if max_power_per_cpu_w is not None:
-        data["max_power_per_cpu_w"] = max_power_per_cpu_w
-    if throttle_scope is not None:
-        data["throttle"] = {"enabled": True, "scope": throttle_scope,
-                            "mode": "hlt"}
-    return data
+    data = {key: value for key, value in pinned.scenario.items()
+            if key not in ("policy", "duration_s")}
+    if "throttle" in data:
+        data["throttle"] = {key: value
+                            for key, value in data["throttle"].items()
+                            if key != "mode"}
+    return PinnedScenario(pinned.name, _COLUMN_DESCRIPTIONS[pinned.name],
+                          data)
 
 
-TOURNAMENT_SCENARIOS: tuple[TournamentScenario, ...] = (
-    TournamentScenario(
-        name="mixed-16cpu",
-        description="16-CPU SMT, mixed Table-2 workload, no power budget",
-        scenario=_mixed16("mixed-16cpu"),
-    ),
-    TournamentScenario(
-        name="mixed-16cpu-baseline",
-        description=(
-            "same configuration as mixed-16cpu (the perf set varied only "
-            "the pinned policy); doubles as a determinism cross-check"
-        ),
-        scenario=_mixed16("mixed-16cpu-baseline"),
-    ),
-    TournamentScenario(
-        name="mixed-8cpu-nosmt",
-        description="8-CPU non-SMT, mixed Table-2 workload, no power budget",
-        scenario=_mixed16("mixed-8cpu-nosmt", smt=False, seed=7, copies=4),
-    ),
-    TournamentScenario(
-        name="throttle-hlt",
-        description="16-CPU SMT, 20 W per logical CPU budget",
-        scenario=_mixed16("throttle-hlt", seed=11, max_power_per_cpu_w=20.0,
-                          throttle_scope="logical"),
-    ),
-    TournamentScenario(
-        name="throttle-package",
-        description="16-CPU SMT, 40 W per package budget",
-        scenario=_mixed16("throttle-package", seed=11,
-                          max_power_per_cpu_w=20.0,
-                          throttle_scope="package"),
-    ),
-    TournamentScenario(
-        name="throttle-dvfs",
-        description="16-CPU SMT, 20 W per logical CPU budget, seed 13",
-        scenario=_mixed16("throttle-dvfs", seed=13, max_power_per_cpu_w=20.0,
-                          throttle_scope="logical"),
-    ),
-    # The two adversarial worst offenders from repro.scenarios (same
-    # generator specs as the pinned perf entries).  The dict stays the
-    # *unexpanded* generator form — cell JobSpecs hash the spec, not the
-    # expanded task list, so cache keys are stable and tiny.  The
-    # tournament strips the generated policy/duration like any other
-    # scenario keys it owns.
-    TournamentScenario(
-        name="adv-pingpong",
-        description=(
-            "Adversarial hot/cool rotation (18 W budget, 4 CPU blocks), "
-            "migration ping-pong worst case"
-        ),
-        scenario={
-            "name": "adv-pingpong",
-            "generator": {
-                "family": "thermal-adversarial",
-                "seed": 1,
-                "params": {
-                    "budget_w": 18.0, "phase_scale": 0.1, "duty": 0.9,
-                    "hot_jobs": 10, "cool_fill": 20, "rotate_groups": 4,
-                    "jitter": 0.0, "horizon_s": 60.0,
-                },
-            },
-        },
-    ),
-    TournamentScenario(
-        name="adv-throttle-storm",
-        description=(
-            "Adversarial hot/cool rotation (15 W budget, 4 CPU blocks), "
-            "hlt throttle-storm worst case"
-        ),
-        scenario={
-            "name": "adv-throttle-storm",
-            "generator": {
-                "family": "thermal-adversarial",
-                "seed": 1,
-                "params": {
-                    "budget_w": 15.0, "phase_scale": 0.12, "duty": 0.9,
-                    "hot_jobs": 10, "cool_fill": 20, "rotate_groups": 4,
-                    "jitter": 0.0, "horizon_s": 60.0,
-                },
-            },
-        },
-    ),
+TOURNAMENT_SCENARIOS: tuple[PinnedScenario, ...] = tuple(
+    _column(pinned) for pinned in REFERENCE_SCENARIOS
 )
 
 
-def tournament_scenario_by_name(name: str) -> TournamentScenario:
-    """Look up a tournament scenario; ``ValueError`` lists valid names."""
-    for scenario in TOURNAMENT_SCENARIOS:
-        if scenario.name == name:
-            return scenario
-    valid = ", ".join(s.name for s in TOURNAMENT_SCENARIOS)
-    raise ValueError(
-        f"unknown tournament scenario {name!r}; expected one of {valid}"
-    )
-
-
 def cell_spec(
-    scenario: TournamentScenario,
+    scenario: PinnedScenario,
     policy: str | PolicySpec,
     duration_s: float,
     fast_path: bool = True,
 ) -> JobSpec:
-    """The job spec for one (scenario, policy) cell.
+    """The job spec for one (column, policy) cell.
 
     The scalar-reference variant differs only by the scenario
     ``options`` key, so fast and scalar results cache independently.
     """
-    data = dict(scenario.scenario)
-    data["policy"] = canonical_policy_value(policy)
+    data = dict(scenario.scenario, name=scenario.name,
+                policy=canonical_policy_value(policy))
     if not fast_path:
         data["options"] = {"fast_path": False}
     return JobSpec(scenario=data, duration_s=duration_s)
@@ -271,7 +185,7 @@ ProgressFn = Callable[[JobOutcome, int, int], None]
 
 def run_tournament(
     duration_s: float = DEFAULT_DURATION_S,
-    scenarios: Sequence[TournamentScenario] | None = None,
+    scenarios: Sequence[PinnedScenario] | None = None,
     policies: Sequence[str | PolicySpec] | None = None,
     workers: int = 1,
     cache=None,

@@ -175,25 +175,19 @@ def fleet_oracle_check(
     of :data:`repro.perf.scenarios.FLEET_SCENARIO`, so the validated
     configuration is the benchmarked configuration.
     """
-    from dataclasses import replace
-
-    from repro.core.policy import Policy
     from repro.perf.scenarios import FLEET_SCENARIO
-
-    scenario = replace(
-        FLEET_SCENARIO, n_machines=n_machines, first_seed=first_seed
-    )
-    policy = Policy.coerce(scenario.policy)
+    from repro.scenario import parse_scenario
 
     def make_builder(seed: int) -> Callable[[], System]:
         def build() -> System:
-            config, workload = scenario.build_member(seed)
-            return System(config, workload, policy=policy)
+            member = parse_scenario(dict(FLEET_SCENARIO.scenario, seed=seed))
+            return System(member.config, member.workload,
+                          policy=member.policy)
 
         return build
 
-    builders = [make_builder(seed) for seed in scenario.seeds()]
-    n_ticks = Clock(
-        scenario.build_member(first_seed)[0].tick_ms
-    ).ticks_for_ms(duration_s * 1000.0)
-    return fleet_lockstep(builders, n_ticks, probe_every=probe_every)
+    seeds = range(first_seed, first_seed + n_machines)
+    tick_ms = parse_scenario(FLEET_SCENARIO.scenario).config.tick_ms
+    n_ticks = Clock(tick_ms).ticks_for_ms(duration_s * 1000.0)
+    return fleet_lockstep([make_builder(seed) for seed in seeds], n_ticks,
+                          probe_every=probe_every)

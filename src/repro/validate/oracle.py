@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig, Policy
+from repro.core.policy import EnergyAwareConfig
+from repro.core.policyspec import PolicySpec
 from repro.sim.clock import Clock
 from repro.system import System
 from repro.workloads.generator import TaskSpec, WorkloadSpec
@@ -163,14 +164,14 @@ def replay_pair(
 def differential_replay(
     config: SystemConfig,
     workload: WorkloadSpec,
-    policy: Policy | str = Policy.ENERGY,
+    policy: PolicySpec | str = "energy",
     policy_config: EnergyAwareConfig | None = None,
     duration_s: float = 5.0,
     probe_every: int = 1,
     validate: bool = False,
 ) -> OracleReport:
     """Replay one job spec through the fast and scalar tick paths."""
-    policy = Policy.coerce(policy)
+    policy = PolicySpec.coerce(policy)
 
     def build(fast: bool) -> System:
         return System(
@@ -222,7 +223,7 @@ def _total_energy_j(system: System) -> float:
 def smt_relabel_check(
     config: SystemConfig,
     workload: WorkloadSpec,
-    policy: Policy | str = Policy.ENERGY,
+    policy: PolicySpec | str = "energy",
     policy_config: EnergyAwareConfig | None = None,
     duration_s: float = 5.0,
     rel_tol: float = 1e-9,
@@ -243,7 +244,7 @@ def smt_relabel_check(
             reason=f"machine has threads_per_core={spec.threads_per_core}; "
                    f"no SMT sibling pairs to relabel",
         )
-    policy = Policy.coerce(policy)
+    policy = PolicySpec.coerce(policy)
     quiet = replace(config, counter_jitter_sigma=0.0)
 
     def run(flip: bool) -> System:

@@ -31,7 +31,9 @@ import traceback
 from typing import Iterable, Sequence
 
 from repro.api import SimulationResult
-from repro.perf.scenarios import REFERENCE_SCENARIOS, PerfScenario
+from repro.core.policyspec import canonical_policy_value
+from repro.perf.scenarios import REFERENCE_SCENARIOS, PinnedScenario
+from repro.scenario import parse_scenario
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.system import System
@@ -58,18 +60,18 @@ def _violations_json(violations) -> list[dict]:
 
 
 def _run_system(
-    scenario: PerfScenario,
+    scenario: PinnedScenario,
     duration_s: float,
     fast_path: bool,
     sample_every: int,
     plan: FaultPlan | None = None,
 ) -> tuple[System, FaultInjector | None]:
-    config, workload = scenario.build()
-    clock = Clock(config.tick_ms)
+    parsed = parse_scenario(scenario.scenario)
+    clock = Clock(parsed.config.tick_ms)
     system = System(
-        config,
-        workload,
-        policy=scenario.policy,
+        parsed.config,
+        parsed.workload,
+        policy=parsed.policy,
         fast_path=fast_path,
         validate=ValidationConfig(sample_every=sample_every),
     )
@@ -83,7 +85,7 @@ def _run_system(
 
 
 def _fault_entry(
-    scenario: PerfScenario,
+    scenario: PinnedScenario,
     duration_s: float,
     sample_every: int,
     plan: FaultPlan,
@@ -126,7 +128,7 @@ def _fault_entry(
 
 
 def run_validation(
-    scenarios: Iterable[PerfScenario] | None = None,
+    scenarios: Iterable[PinnedScenario] | None = None,
     duration_s: float | None = SHORT_DURATION_S,
     sample_every: int = 1,
     include_faults: bool = True,
@@ -139,7 +141,7 @@ def run_validation(
     exhaustive mode); the default trims every scenario to
     :data:`SHORT_DURATION_S`.
     """
-    chosen: Sequence[PerfScenario] = (
+    chosen: Sequence[PinnedScenario] = (
         tuple(scenarios) if scenarios is not None else REFERENCE_SCENARIOS
     )
     if not chosen:
@@ -150,7 +152,8 @@ def run_validation(
     breaches: list[str] = []
     scenario_reports = []
     for scenario in chosen:
-        duration = duration_s if duration_s is not None else scenario.duration_s
+        parsed = parse_scenario(scenario.scenario)
+        duration = duration_s if duration_s is not None else parsed.duration_s
         entry: dict = {"name": scenario.name, "duration_s": duration}
 
         clean = {}
@@ -170,9 +173,8 @@ def run_validation(
                 )
         entry["clean"] = clean
 
-        config, workload = scenario.build()
         oracle = differential_replay(
-            config, workload, policy=scenario.policy,
+            parsed.config, parsed.workload, policy=parsed.policy,
             duration_s=duration, probe_every=probe_every,
         )
         entry["oracle"] = oracle.to_dict()
@@ -188,7 +190,8 @@ def run_validation(
             )
 
         metamorphic = smt_relabel_check(
-            config, workload, policy=scenario.policy, duration_s=duration,
+            parsed.config, parsed.workload, policy=parsed.policy,
+            duration_s=duration,
         )
         entry["metamorphic"] = metamorphic.to_dict()
         if metamorphic.applicable and not metamorphic.ok:
@@ -303,7 +306,7 @@ def _event_digest(events) -> str:
 
 
 def golden_trace(
-    scenario: PerfScenario, duration_s: float = GOLDEN_DURATION_S
+    scenario: PinnedScenario, duration_s: float = GOLDEN_DURATION_S
 ) -> dict:
     """The canonical short-trace payload for one pinned scenario.
 
@@ -313,9 +316,10 @@ def golden_trace(
 
         PYTHONPATH=src python -m repro validate --write-golden tests/golden
     """
-    config, workload = scenario.build()
-    clock = Clock(config.tick_ms)
-    system = System(config, workload, policy=scenario.policy, fast_path=True)
+    parsed = parse_scenario(scenario.scenario)
+    clock = Clock(parsed.config.tick_ms)
+    system = System(parsed.config, parsed.workload, policy=parsed.policy,
+                    fast_path=True)
     engine = Engine(clock, system.tracer)
     engine.register(system)
     engine.run_for(duration_s)
@@ -324,7 +328,7 @@ def golden_trace(
     return {
         "schema": GOLDEN_SCHEMA,
         "scenario": scenario.name,
-        "policy": scenario.policy.value,
+        "policy": canonical_policy_value(parsed.policy),
         "duration_s": duration_s,
         "summary": result.scalar_summary(),
         "counters": tracer.counters.as_dict(),
@@ -335,7 +339,7 @@ def golden_trace(
 
 def write_golden(
     directory: str | pathlib.Path,
-    scenarios: Iterable[PerfScenario] | None = None,
+    scenarios: Iterable[PinnedScenario] | None = None,
     duration_s: float = GOLDEN_DURATION_S,
 ) -> list[str]:
     """Write one golden-trace JSON per scenario; returns the paths."""

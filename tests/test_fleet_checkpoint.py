@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.core.policy import Policy
 from repro.fleet import FLEET_CHECKPOINT_SCHEMA, FleetEngine
 from repro.perf.scenarios import FLEET_SCENARIO
+from repro.scenario import parse_scenario
 from repro.system import System
 
 SEEDS = (1, 2, 3)
@@ -23,8 +23,8 @@ TOTAL_TICKS = 260
 
 
 def _build(seed: int) -> System:
-    config, workload = FLEET_SCENARIO.build_member(seed)
-    return System(config, workload, policy=Policy.coerce(FLEET_SCENARIO.policy))
+    member = parse_scenario(dict(FLEET_SCENARIO.scenario, seed=seed))
+    return System(member.config, member.workload, policy=member.policy)
 
 
 def _engine() -> FleetEngine:

@@ -13,7 +13,6 @@ import pytest
 from repro import (
     MachineSpec,
     ObservabilityConfig,
-    Policy,
     SystemConfig,
     mixed_table2_workload,
     run_simulation,
@@ -46,7 +45,7 @@ def migrating_run():
         machine=MachineSpec.smp(4), max_power_per_cpu_w=45.0, seed=9
     )
     result = run_simulation(
-        config, mixed_table2_workload(2), policy=Policy.ENERGY,
+        config, mixed_table2_workload(2), policy="energy",
         duration_s=30.0, obs=True,
     )
     assert result.migration_events()  # precondition for the tests below
@@ -459,7 +458,7 @@ class TestObserverIntegration:
             machine=MachineSpec.smp(4), max_power_per_cpu_w=45.0, seed=9
         )
         result = run_simulation(
-            config, mixed_table2_workload(2), policy=Policy.ENERGY,
+            config, mixed_table2_workload(2), policy="energy",
             duration_s=30.0,
             obs=ObservabilityConfig(max_audit_records=10),
         )

@@ -12,7 +12,6 @@ import pytest
 
 from repro import (
     MachineSpec,
-    Policy,
     SystemConfig,
     ThrottleConfig,
     mixed_table2_workload,
@@ -27,6 +26,7 @@ from repro.perf import (
     scenario_by_name,
     strip_timings,
 )
+from repro.scenario import parse_scenario
 from repro.sim.trace import CounterSet
 
 DURATION_S = 5.0
@@ -46,7 +46,7 @@ def _run_both(config, workload, policy):
 
 
 class TestFastScalarEquality:
-    @pytest.mark.parametrize("policy", [Policy.ENERGY, Policy.BASELINE])
+    @pytest.mark.parametrize("policy", ["energy", "baseline"])
     @pytest.mark.parametrize("seed", [2, 7])
     @pytest.mark.parametrize("smt", [True, False])
     def test_summary_byte_identical(self, policy, seed, smt):
@@ -72,9 +72,7 @@ class TestFastScalarEquality:
             seed=11,
             throttle=ThrottleConfig(enabled=True, scope=scope, mode=mode),
         )
-        fast, scalar = _run_both(
-            config, mixed_table2_workload(2), Policy.ENERGY
-        )
+        fast, scalar = _run_both(config, mixed_table2_workload(2), "energy")
         assert _encode(fast.scalar_summary()) == _encode(
             scalar.scalar_summary()
         )
@@ -84,9 +82,7 @@ class TestFastScalarEquality:
         config = SystemConfig(
             machine=MachineSpec.smp(4), max_power_per_cpu_w=60.0, seed=3
         )
-        fast, scalar = _run_both(
-            config, mixed_table2_workload(1), Policy.ENERGY
-        )
+        fast, scalar = _run_both(config, mixed_table2_workload(1), "energy")
         assert (fast.system.tracer.counters.as_dict()
                 == scalar.system.tracer.counters.as_dict())
         assert fast.max_temperature_c == scalar.max_temperature_c
@@ -153,10 +149,10 @@ class TestObsNeutrality:
 
     @staticmethod
     def _summary(name, **kwargs):
-        scenario = scenario_by_name(name)
-        config, workload = scenario.build()
-        result = run_simulation(config, workload, policy=scenario.policy,
-                                duration_s=2.0, **kwargs)
+        scenario = parse_scenario(scenario_by_name(name).scenario)
+        result = run_simulation(scenario.config, scenario.workload,
+                                policy=scenario.policy, duration_s=2.0,
+                                **kwargs)
         return _encode(result.scalar_summary())
 
     @pytest.mark.parametrize("name", NAMES)
@@ -207,7 +203,7 @@ class TestCounterDefaults:
         config = SystemConfig(machine=MachineSpec.smp(2), seed=1)
         result = run_simulation(
             config, single_program_workload("aluadd", 1),
-            policy=Policy.BASELINE, duration_s=0.01,
+            policy="baseline", duration_s=0.01,
         )
         assert result.jobs_completed == 0
         assert result.migrations() == 0

@@ -23,6 +23,7 @@ from repro.resilience import (
     save_checkpoint,
 )
 from repro.runner.cache import code_salt
+from repro.scenario import parse_scenario
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngFactory
@@ -32,12 +33,14 @@ DURATION_S = 6.0
 SPLIT_S = 3.0
 
 
+def _pinned(name):
+    return parse_scenario(scenario_by_name(name).scenario)
+
+
 def _build(scenario, fast_path):
-    config, workload = scenario.build()
-    system = System(
-        config, workload, policy=scenario.policy, fast_path=fast_path
-    )
-    clock = Clock(config.tick_ms)
+    system = System(scenario.config, scenario.workload,
+                    policy=scenario.policy, fast_path=fast_path)
+    clock = Clock(scenario.config.tick_ms)
     engine = Engine(clock, system.tracer)
     engine.register(system)
     return system, clock, engine
@@ -54,9 +57,9 @@ class TestBitIdentity:
                              ids=lambda s: s.name)
     def test_checkpoint_resume_bit_identity(self, tmp_path, scenario,
                                             fast_path):
-        config, workload = scenario.build()
+        scenario = parse_scenario(scenario.scenario)
         reference = run_simulation(
-            config, workload, policy=scenario.policy,
+            scenario.config, scenario.workload, policy=scenario.policy,
             duration_s=DURATION_S, fast_path=fast_path,
         )
         system, clock, engine = _build(scenario, fast_path)
@@ -68,15 +71,15 @@ class TestBitIdentity:
         assert _events(resumed) == _events(reference)
 
     def test_observed_run_checkpoints_identically(self, tmp_path):
-        scenario = scenario_by_name("mixed-16cpu")
-        config, workload = scenario.build()
+        scenario = _pinned("mixed-16cpu")
         reference = run_simulation(
-            config, workload, policy=scenario.policy,
+            scenario.config, scenario.workload, policy=scenario.policy,
             duration_s=DURATION_S, obs=True,
         )
         written = []
         resumed = run_simulation_checkpointed(
-            *scenario.build(), checkpoint_path=tmp_path / "ck.bin",
+            scenario.config, scenario.workload,
+            checkpoint_path=tmp_path / "ck.bin",
             policy=scenario.policy, duration_s=DURATION_S,
             checkpoint_every_s=SPLIT_S, obs=True,
             on_checkpoint=lambda path, ticks: written.append(ticks),
@@ -91,7 +94,7 @@ class TestBitIdentity:
                 == [r.to_dict() for r in reference.audit.query()])
 
     def test_snapshot_restore_round_trip_preserves_aliasing(self):
-        scenario = scenario_by_name("mixed-16cpu")
+        scenario = _pinned("mixed-16cpu")
         system, clock, engine = _build(scenario, fast_path=True)
         engine.run_ticks(50)
         restored = System.restore(system.snapshot())
@@ -101,7 +104,7 @@ class TestBitIdentity:
             assert np.shares_memory(bank._counts, restored._counts_mx)
         # The restored machine and the original must stay in lockstep.
         engine.run_ticks(50)
-        clock2 = Clock.at(scenario.build()[0].tick_ms, 50)
+        clock2 = Clock.at(scenario.config.tick_ms, 50)
         engine2 = Engine(clock2, restored.tracer)
         engine2.register(restored)
         engine2.run_ticks(50)
@@ -111,7 +114,7 @@ class TestBitIdentity:
 
 class TestFormat:
     def _checkpointed(self, tmp_path):
-        scenario = scenario_by_name("mixed-8cpu-nosmt")
+        scenario = _pinned("mixed-8cpu-nosmt")
         system, clock, engine = _build(scenario, fast_path=True)
         engine.run_ticks(20)
         path = tmp_path / "ck.bin"
@@ -173,7 +176,7 @@ class TestFormat:
         assert snapshot["code_salt"] == "0" * 16
 
     def test_resume_needs_a_duration_from_somewhere(self, tmp_path):
-        scenario = scenario_by_name("mixed-8cpu-nosmt")
+        scenario = _pinned("mixed-8cpu-nosmt")
         system, clock, engine = _build(scenario, fast_path=True)
         engine.run_ticks(10)
         path = tmp_path / "ck.bin"
@@ -184,7 +187,7 @@ class TestFormat:
         assert result.duration_s == 0.5
 
     def test_checkpoint_at_or_past_duration_resumes_to_no_op(self, tmp_path):
-        scenario = scenario_by_name("mixed-8cpu-nosmt")
+        scenario = _pinned("mixed-8cpu-nosmt")
         system, clock, engine = _build(scenario, fast_path=True)
         engine.run_until_tick(clock.ticks_for_ms(2000.0))
         path = tmp_path / "ck.bin"
@@ -217,9 +220,9 @@ class TestStatePrimitives:
 
     def test_run_until_tick_is_idempotent_at_target(self):
         clock = Clock(10)
-        scenario = scenario_by_name("mixed-8cpu-nosmt")
-        config, workload = scenario.build()
-        system = System(config, workload, policy=scenario.policy)
+        scenario = _pinned("mixed-8cpu-nosmt")
+        system = System(scenario.config, scenario.workload,
+                        policy=scenario.policy)
         engine = Engine(clock, system.tracer)
         engine.register(system)
         engine.run_until_tick(30)
@@ -232,7 +235,7 @@ class TestStatePrimitives:
             engine.run_until_tick(-1)
 
     def test_snapshot_payload_is_a_plain_pickle(self):
-        scenario = scenario_by_name("mixed-8cpu-nosmt")
+        scenario = _pinned("mixed-8cpu-nosmt")
         system, clock, engine = _build(scenario, fast_path=False)
         engine.run_ticks(10)
         snapshot = system.snapshot()

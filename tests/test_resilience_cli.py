@@ -78,10 +78,17 @@ class TestSweepJournalCli:
 
 
 class TestCheckpointCli:
+    # Every policy spelling a scenario file accepts must checkpoint: a
+    # registry name beyond the paper's two, and a parameterized spec.
+    @pytest.mark.parametrize("policy", [
+        "energy",
+        "hlt-throttle",
+        {"name": "dvfs-proactive", "params": {"target_margin_c": 3.0}},
+    ], ids=["energy", "hlt-throttle", "dvfs-proactive-params"])
     def test_run_file_checkpoint_and_resume_subcommand(self, tmp_path,
-                                                       capsys):
+                                                       capsys, policy):
         scen = tmp_path / "scen.json"
-        scen.write_text(json.dumps(SCENARIO))
+        scen.write_text(json.dumps(dict(SCENARIO, policy=policy)))
         ck = tmp_path / "ck.bin"
         assert main(["run-file", str(scen)]) == 0
         reference = capsys.readouterr().out

@@ -131,6 +131,31 @@ class TestRunning:
         assert summary["policy"] == "baseline"
         assert summary["machine"]["n_cpus"] == 2
 
+    def test_cli_run_file_missing_file_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "nope.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-file", str(missing)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: cannot load scenario '{missing}'" in err
+        assert "Traceback" not in err
+
+    def test_cli_run_file_unknown_policy_is_a_usage_error(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**BASE, "policy": "quantum"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-file", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: cannot load scenario" in err
+        assert "unknown policy 'quantum'" in err
+
 
 class TestCadenceAndNoiseKnobs:
     """The optional SystemConfig pass-through keys (fleet scenarios pin

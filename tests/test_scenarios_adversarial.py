@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.export import run_summary
 from repro.api import run_simulation
 from repro.perf.scenarios import REFERENCE_SCENARIOS, scenario_by_name
+from repro.scenario import parse_scenario
 from repro.scenarios import adversarial_search
 
 PINNED_ADVERSARIAL = ("adv-pingpong", "adv-throttle-storm")
@@ -29,10 +30,10 @@ DURATION_S = 60.0
 def stress_metrics(name: str) -> tuple[float, float]:
     """(migrations/s, throttle fraction) for one reference scenario,
     measured exactly as the tournament does."""
-    scenario = scenario_by_name(name)
-    config, workload = scenario.build()
+    scenario = parse_scenario(scenario_by_name(name).scenario)
     result = run_simulation(
-        config, workload, policy=scenario.policy, duration_s=DURATION_S
+        scenario.config, scenario.workload, policy=scenario.policy,
+        duration_s=DURATION_S,
     )
     summary = run_summary(result)
     return (

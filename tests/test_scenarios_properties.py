@@ -16,7 +16,7 @@ every tick instead of sampling.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_simulation
@@ -78,6 +78,11 @@ specs = st.one_of(
 
 @settings(max_examples=12, deadline=None)
 @given(spec=specs)
+# A sporadic period longer than the horizon must still release a job.
+@example(spec=GeneratorSpec("sporadic", {
+    "machine": "smp2", "n_tasks": 1, "utilization": 2.0,
+    "period_min_s": 1.609375, "period_max_s": 3.0, "horizon_s": 2.25,
+}, seed=0))
 def test_generated_scenarios_are_schema_valid(spec):
     data = spec.instantiate()
     scenario = parse_scenario(data)

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
+from repro.perf.scenarios import REFERENCE_SCENARIOS, scenario_by_name
 from repro.tournament import (
     POLICY_LINEUP,
     SCHEMA,
     TOURNAMENT_SCENARIOS,
     format_policy_report,
     run_tournament,
-    tournament_scenario_by_name,
     write_policies_json,
 )
 from repro.tournament.harness import cell_spec
+
+
+def column(name):
+    return scenario_by_name(name, TOURNAMENT_SCENARIOS)
 
 
 class TestScenarioSet:
@@ -23,14 +27,30 @@ class TestScenarioSet:
         assert len(names) == len(set(names))
 
     def test_lookup_and_unknown(self):
-        assert tournament_scenario_by_name("mixed-16cpu").scenario["seed"] == 42
+        assert column("mixed-16cpu").scenario["seed"] == 42
         with pytest.raises(ValueError, match="mixed-16cpu"):
-            tournament_scenario_by_name("nope")
+            column("nope")
 
     def test_scenarios_carry_no_policy_axis(self):
         for scenario in TOURNAMENT_SCENARIOS:
             assert "policy" not in scenario.scenario
             assert "duration_s" not in scenario.scenario
+
+    def test_columns_are_the_pinned_table_minus_the_race_axes(self):
+        assert ([s.name for s in TOURNAMENT_SCENARIOS]
+                == [s.name for s in REFERENCE_SCENARIOS])
+        for pinned, col in zip(REFERENCE_SCENARIOS, TOURNAMENT_SCENARIOS):
+            expected = {k: v for k, v in pinned.scenario.items()
+                        if k not in ("policy", "duration_s")}
+            if "throttle" in expected:
+                expected["throttle"] = {
+                    k: v for k, v in expected["throttle"].items()
+                    if k != "mode"
+                }
+            assert dict(col.scenario) == expected
+        # The pinned DVFS configuration races under hlt; only the
+        # policies that force a mode change it.
+        assert "mode" not in column("throttle-dvfs").scenario["throttle"]
 
     def test_lineup_covers_the_required_families(self):
         assert "energy" in POLICY_LINEUP
@@ -41,21 +61,21 @@ class TestScenarioSet:
 
 class TestCellSpecs:
     def test_policy_canonicalized_into_scenario(self):
-        scenario = tournament_scenario_by_name("mixed-16cpu")
+        scenario = column("mixed-16cpu")
         spec = cell_spec(scenario, "energy", 10.0)
         assert spec.scenario["policy"] == "energy"
         assert spec.duration_s == 10.0
         assert "options" not in spec.scenario
 
     def test_scalar_variant_differs_only_by_options(self):
-        scenario = tournament_scenario_by_name("mixed-16cpu")
+        scenario = column("mixed-16cpu")
         fast = cell_spec(scenario, "energy", 10.0)
         scalar = cell_spec(scenario, "energy", 10.0, fast_path=False)
         assert scalar.scenario["options"] == {"fast_path": False}
         assert fast.content_hash() != scalar.content_hash()
 
     def test_cell_specs_hash_stably(self):
-        scenario = tournament_scenario_by_name("throttle-dvfs")
+        scenario = column("throttle-dvfs")
         a = cell_spec(scenario, "dvfs-reactive", 10.0)
         b = cell_spec(scenario, "dvfs-reactive", 10.0)
         assert a.content_hash() == b.content_hash()
@@ -64,7 +84,7 @@ class TestCellSpecs:
 class TestTournamentRuns:
     @pytest.fixture(scope="class")
     def race(self):
-        scenarios = [tournament_scenario_by_name("throttle-dvfs")]
+        scenarios = [column("throttle-dvfs")]
         kwargs = dict(
             duration_s=4.0,
             scenarios=scenarios,
@@ -117,7 +137,7 @@ class TestTournamentRuns:
     def test_skip_oracle(self):
         payload = run_tournament(
             duration_s=2.0,
-            scenarios=[tournament_scenario_by_name("mixed-16cpu")],
+            scenarios=[column("mixed-16cpu")],
             policies=["baseline"],
             check_oracle=False,
         )

@@ -9,6 +9,7 @@ and the report must point at a tick and a field set.
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.policyspec import policy_names
 from repro.cpu.topology import MachineSpec
 from repro.system import System
 from repro.validate import differential_replay, replay_pair, smt_relabel_check
@@ -25,6 +26,13 @@ def smp_config(n=4, **kwargs):
     return SystemConfig(**defaults)
 
 
+def smt_config():
+    return SystemConfig(
+        machine=MachineSpec.cmp(packages=2, cores=2, smt=True),
+        max_power_per_cpu_w=60.0, seed=42, sample_interval_s=0.5,
+    )
+
+
 class TestDifferentialReplay:
     def test_paths_identical_on_clean_code(self):
         report = differential_replay(
@@ -37,9 +45,10 @@ class TestDifferentialReplay:
             report.summary_b
         )
 
-    def test_paths_identical_under_baseline_policy(self):
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_paths_identical_under_each_policy(self, policy):
         report = differential_replay(
-            smp_config(), mixed_table2_workload(1), policy="baseline",
+            smp_config(), mixed_table2_workload(1), policy=policy,
             duration_s=1.0,
         )
         assert report.identical
@@ -105,12 +114,8 @@ class TestMetamorphicRelabeling:
         assert report.ok  # inapplicable is not a failure
 
     def test_sibling_swap_preserves_energy_and_jobs(self):
-        config = SystemConfig(
-            machine=MachineSpec.cmp(packages=2, cores=2, smt=True),
-            max_power_per_cpu_w=60.0, seed=42, sample_interval_s=0.5,
-        )
         report = smt_relabel_check(
-            config, mixed_table2_workload(1), duration_s=2.0
+            smt_config(), mixed_table2_workload(1), duration_s=2.0
         )
         assert report.applicable
         assert report.ok
@@ -118,6 +123,15 @@ class TestMetamorphicRelabeling:
                                                   rel=1e-9)
         assert report.jobs_a == pytest.approx(report.jobs_b, rel=1e-9)
         assert report.energy_a_j > 0.0
+
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_sibling_swap_holds_under_each_policy(self, policy):
+        report = smt_relabel_check(
+            smt_config(), mixed_table2_workload(1), policy=policy,
+            duration_s=2.0,
+        )
+        assert report.applicable
+        assert report.ok
 
     def test_report_round_trips_to_dict(self):
         report = smt_relabel_check(

@@ -226,17 +226,13 @@ class SimulationResult:
 class RunOptions:
     """Bundled run parameters for :func:`run_simulation` and friends.
 
-    Replaces the keyword sprawl (``policy=``, ``obs=``, ``validate=``,
-    the checkpoint knobs) with one value that travels through
-    :func:`run_simulation`, :meth:`repro.scenario.Scenario.run`, and
-    runner job specs (the ``"options"`` scenario key).  Every field
-    defaults to ``None``, meaning "use the call's default" — so partial
-    options compose with scenario- or call-level settings instead of
-    overriding them with their own defaults.
-
-    ``checkpoint_path`` switches the run to the crash-safe executor
-    (:func:`repro.resilience.checkpoint.run_simulation_checkpointed`),
-    writing a checkpoint every ``checkpoint_every_s`` simulated seconds.
+    Replaces the keyword sprawl (``policy=``, ``obs=``, ``validate=``)
+    with one value that travels through :func:`run_simulation`,
+    :meth:`repro.scenario.Scenario.run`, and runner job specs (the
+    ``"options"`` scenario key).  Every field defaults to ``None``,
+    meaning "use the call's default" — so partial options compose with
+    scenario- or call-level settings instead of overriding them with
+    their own defaults.
     """
 
     policy: PolicySpec | str | None = None
@@ -245,17 +241,11 @@ class RunOptions:
     fast_path: bool | None = None
     validate: object = None
     obs: object = None
-    checkpoint_path: str | None = None
-    checkpoint_every_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.policy is not None:
             # Reject unknown names at construction, not at run time.
             PolicySpec.coerce(self.policy)
-        if self.checkpoint_every_s is not None and self.checkpoint_path is None:
-            raise ValueError(
-                "checkpoint_every_s only makes sense with checkpoint_path"
-            )
 
 
 def run_simulation(
@@ -326,25 +316,6 @@ def run_simulation(
     fast_path = options.fast_path if options.fast_path is not None else True
     validate = options.validate if options.validate is not None else False
     obs = options.obs if options.obs is not None else False
-    if options.checkpoint_path is not None:
-        from repro.resilience.checkpoint import run_simulation_checkpointed
-
-        return run_simulation_checkpointed(
-            config,
-            workload,
-            checkpoint_path=options.checkpoint_path,
-            policy=policy,
-            policy_config=options.policy_config,
-            duration_s=duration_s,
-            checkpoint_every_s=(
-                options.checkpoint_every_s
-                if options.checkpoint_every_s is not None
-                else 60.0
-            ),
-            fast_path=fast_path,
-            validate=validate,
-            obs=obs,
-        )
     clock = Clock(config.tick_ms)
     system = System(
         config,

@@ -465,8 +465,14 @@ def _journal_path(args, specs, command: str):
 
 def _resume_specs(parser, args, command: str):
     """The spec list recorded in ``--resume``'s journal meta record."""
+    import pathlib
+
     from repro.resilience import replay_journal
 
+    if not pathlib.Path(args.resume).is_file():
+        parser.error(
+            f"cannot resume from {args.resume!r}: no such journal file"
+        )
     replay = replay_journal(args.resume)
     try:
         specs = replay.specs()
@@ -527,7 +533,7 @@ def _run_jobs(parser, args, specs, command="sweep", command_args=None):
     import signal
     import threading
 
-    from repro.runner import run_grid, run_grid_fleet
+    from repro.runner import run_grid
 
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
@@ -576,15 +582,13 @@ def _run_jobs(parser, args, specs, command="sweep", command_args=None):
             previous_handlers[sig] = signal.signal(sig, _on_signal)
     except ValueError:  # not the main thread (e.g. embedded use)
         pass
-    runner = (run_grid_fleet
-              if getattr(args, "engine", "pool") == "fleet" else run_grid)
     bus, server, sink = _make_bus(args)
     try:
-        report = runner(
+        report = run_grid(
             specs, workers=args.workers, cache=cache,
             timeout_s=args.timeout, retries=args.retries,
             progress=progress, journal=journal, stop_event=stop_event,
-            bus=bus,
+            bus=bus, engine=args.engine,
         )
     finally:
         for sig, handler in previous_handlers.items():

@@ -13,12 +13,13 @@ The pieces, bottom-up:
   pool rebuild on worker death, poison-job quarantine, journal-backed
   resume, graceful drain — see :mod:`repro.resilience`) with serial
   fallback;
+* :mod:`repro.runner.fleet_grid` — the fleet stage ``run_grid`` runs
+  with ``engine="fleet"``: fleet-eligible scenario jobs advance N
+  machines per tick on one :class:`repro.fleet.FleetEngine`, everything
+  else stays on the pool (``python -m repro sweep --engine fleet``);
+  :func:`run_grid_fleet` is shorthand for that call;
 * :mod:`repro.runner.grid` — batch grid-file expansion for
-  ``python -m repro batch``;
-* :mod:`repro.runner.fleet_grid` — :func:`run_grid_fleet`, the
-  vectorized front end: fleet-eligible scenario jobs advance N machines
-  per tick on one :class:`repro.fleet.FleetEngine`, everything else
-  falls back to the pool (``python -m repro sweep --engine fleet``).
+  ``python -m repro batch``.
 
 Typical library use::
 

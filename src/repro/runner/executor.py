@@ -3,7 +3,10 @@
 :func:`run_grid` is the engine of ``python -m repro sweep`` / ``batch``:
 it resolves journal replays and cache hits first, then executes the
 remaining specs — in this process when ``workers=1``, otherwise on a
-:class:`~repro.resilience.supervisor.SupervisedPool`.  Simulations are
+:class:`~repro.resilience.supervisor.SupervisedPool`.  With
+``engine="fleet"`` the fleet-eligible scenario jobs among them run
+first, in vectorized batches (:mod:`repro.runner.fleet_grid`), and only
+the rest reach the serial or pool path.  Simulations are
 deterministic in their spec, so outcomes are returned in *input order*
 and a sweep's aggregate is byte-identical whatever the worker count.
 
@@ -68,15 +71,9 @@ def execute_spec(spec: JobSpec) -> dict:
         return experiment_metrics(
             spec.experiment, duration_s=spec.duration_s, seed=spec.seed
         )
-    from repro.analysis.export import run_summary
     from repro.scenario import parse_scenario
 
-    data = dict(spec.scenario)
-    data.update(spec.overrides)
-    if spec.duration_s is not None:
-        data["duration_s"] = spec.duration_s
-    if spec.seed is not None:
-        data["seed"] = spec.seed
+    data = spec.scenario_data()
     obs = bool(data.pop("obs", False))
     options_data = dict(data.pop("options", None) or {})
     unknown = set(options_data) - {"fast_path", "validate", "obs"}
@@ -97,14 +94,7 @@ def execute_spec(spec: JobSpec) -> dict:
         )
     else:
         result = scenario.run(obs=obs)
-    out = {
-        "experiment": None,
-        "scenario": scenario.workload.name,
-        "duration_s": scenario.duration_s,
-        "seed": scenario.config.seed,
-        "scalars": result.scalar_summary(),
-        "summary": run_summary(result),
-    }
+    out = scenario_result(scenario, result)
     if obs:
         # Per-job metrics ride along in sweep outputs.  The snapshot is
         # deterministic (mirrored counters and state gauges only — no
@@ -112,6 +102,20 @@ def execute_spec(spec: JobSpec) -> dict:
         out["metrics"] = result.metrics_snapshot()
         out["audit_sites"] = result.audit.sites_seen()
     return out
+
+
+def scenario_result(scenario, result) -> dict:
+    """The result dict of one scenario run, whichever engine ran it."""
+    from repro.analysis.export import run_summary
+
+    return {
+        "experiment": None,
+        "scenario": scenario.workload.name,
+        "duration_s": scenario.duration_s,
+        "seed": scenario.config.seed,
+        "scalars": result.scalar_summary(),
+        "summary": run_summary(result),
+    }
 
 
 @dataclass
@@ -141,9 +145,9 @@ class JobOutcome:
 class GridReport:
     """Ordered outcomes of one :func:`run_grid` call.
 
-    ``fleet_stats`` is filled only by :func:`repro.runner.fleet_grid.
-    run_grid_fleet` — aggregate :class:`repro.fleet.engine.FleetStats`
-    across every fleet batch the sweep ran.
+    ``fleet_stats`` is filled only on ``engine="fleet"`` — aggregate
+    :class:`repro.fleet.engine.FleetStats` across every fleet batch the
+    sweep ran.
     """
 
     outcomes: list[JobOutcome]
@@ -191,6 +195,7 @@ def run_grid(
     backoff_cap_s: float = 2.0,
     quarantine_dir: str | pathlib.Path | None = None,
     bus=None,
+    engine: str = "pool",
 ) -> GridReport:
     """Execute every spec, consulting ``cache`` and ``journal`` if given.
 
@@ -203,16 +208,23 @@ def run_grid(
     nowhere otherwise).  ``bus`` is an optional
     :class:`repro.obs.events.EventBus`; when given, job lifecycle and
     worker incidents are emitted as run events (telemetry only — it
-    never alters execution or results).
+    never alters execution or results).  ``engine="fleet"`` first runs
+    the fleet-eligible scenario jobs in vectorized batches
+    (:func:`repro.runner.fleet_grid.run_fleet_stage`); the jobs it
+    leaves run serially or on the pool exactly as with ``"pool"``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if engine not in ("pool", "fleet"):
+        raise ValueError(f"engine must be 'pool' or 'fleet', got {engine!r}")
     started = time.monotonic()
     specs = list(specs)
+    engine_tag = {"engine": "fleet"} if engine == "fleet" else {}
     if bus is not None:
-        bus.emit("grid_started", total=len(specs), workers=workers)
+        bus.emit("grid_started", total=len(specs), workers=workers,
+                 **engine_tag)
     stats = ExecutorStats()
     outcomes: dict[int, JobOutcome] = {}
     to_run: list[int] = []
@@ -251,9 +263,29 @@ def run_grid(
         else:
             to_run.append(i)
 
+    def start(i: int, **data) -> None:
+        if journal is not None:
+            journal.record_start(i, specs[i])
+        if bus is not None:
+            bus.emit("job_started", index=i, **data)
+
+    def finish(i: int, outcome: JobOutcome, **data) -> None:
+        outcomes[i] = outcome
+        if journal is not None:
+            journal.record_outcome(i, outcome)
+        _emit_outcome(bus, i, outcome, **data)
+
+    fleet_stats = None
+    if engine == "fleet" and to_run and not _stopped(stop_event):
+        from repro.runner.fleet_grid import run_fleet_stage
+
+        fleet_stats = run_fleet_stage(
+            specs, to_run, start, finish, stop_event=stop_event, bus=bus,
+        )
+    pending = [i for i in to_run if i not in outcomes]
     if quarantine_dir is None and cache is not None:
         quarantine_dir = pathlib.Path(cache.root) / "quarantine"
-    if to_run and not _stopped(stop_event):
+    if pending and not _stopped(stop_event):
         config = SupervisorConfig(
             timeout_s=timeout_s,
             retries=retries,
@@ -263,45 +295,32 @@ def run_grid(
                 pathlib.Path(quarantine_dir) if quarantine_dir is not None else None
             ),
         )
-        if workers == 1 or len(to_run) == 1:
-            _run_serial(
-                specs, to_run, config, run_fn, outcomes, stats,
-                journal=journal, stop_event=stop_event, bus=bus,
-            )
+        if workers == 1 or len(pending) == 1:
+            _run_serial(specs, pending, config, run_fn, stats, start, finish,
+                        stop_event=stop_event, bus=bus)
         else:
             def record(i, result, error, attempts, elapsed_s, quarantined):
-                outcomes[i] = JobOutcome(
+                finish(i, JobOutcome(
                     spec=specs[i], result=result, error=error,
                     attempts=attempts, elapsed_s=elapsed_s,
                     quarantined=quarantined,
-                )
-                if journal is not None:
-                    journal.record_outcome(i, outcomes[i])
-                _emit_outcome(bus, i, outcomes[i])
-
-            def on_start(i):
-                if journal is not None:
-                    journal.record_start(i, specs[i])
-                if bus is not None:
-                    bus.emit("job_started", index=i)
+                ))
 
             SupervisedPool(
-                specs, to_run, workers, run_fn, config, stats,
-                record=record, on_start=on_start, stop_event=stop_event,
+                specs, pending, workers, run_fn, config, stats,
+                record=record, on_start=start, stop_event=stop_event,
                 bus=bus,
             ).run()
-        leftover = [i for i in to_run if i not in outcomes]
+        leftover = [i for i in pending if i not in outcomes]
         if leftover and not stats.interrupted and not _stopped(stop_event):
             # Pool unavailable (or it gave up): finish serially.
-            _run_serial(
-                specs, leftover, config, run_fn, outcomes, stats,
-                journal=journal, stop_event=stop_event, bus=bus,
-            )
-        if cache is not None:
-            for i in to_run:
-                outcome = outcomes.get(i)
-                if outcome is not None and outcome.ok:
-                    cache.put(outcome.spec, outcome.result)
+            _run_serial(specs, leftover, config, run_fn, stats, start, finish,
+                        stop_event=stop_event, bus=bus)
+    if cache is not None:
+        for i in to_run:
+            outcome = outcomes.get(i)
+            if outcome is not None and outcome.ok:
+                cache.put(outcome.spec, outcome.result)
 
     for i, spec in enumerate(specs):
         if i not in outcomes:
@@ -319,6 +338,7 @@ def run_grid(
             failed=sum(1 for o in ordered if not o.ok),
             interrupted=stats.interrupted,
             wall_s=time.monotonic() - started,
+            **engine_tag,
         )
     if progress is not None:
         for i, outcome in enumerate(ordered):
@@ -328,6 +348,7 @@ def run_grid(
         cache_stats=cache.stats if cache is not None else None,
         wall_s=time.monotonic() - started,
         exec_stats=stats,
+        fleet_stats=fleet_stats,
     )
 
 
@@ -335,8 +356,11 @@ def _stopped(stop_event) -> bool:
     return stop_event is not None and stop_event.is_set()
 
 
-def _emit_outcome(bus, index: int, outcome: JobOutcome) -> None:
-    """Mirror one terminal outcome onto the event bus (no-op without one)."""
+def _emit_outcome(bus, index: int, outcome: JobOutcome, **data) -> None:
+    """Mirror one terminal outcome onto the event bus (no-op without one).
+
+    ``data`` rides on ``job_finished`` (the fleet stage tags its jobs).
+    """
     if bus is None:
         return
     if outcome.ok:
@@ -345,7 +369,7 @@ def _emit_outcome(bus, index: int, outcome: JobOutcome) -> None:
         else:
             bus.emit(
                 "job_finished", index=index, attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s,
+                elapsed_s=outcome.elapsed_s, **data,
             )
     elif outcome.quarantined:
         bus.emit("job_quarantined", index=index, error=outcome.error or "")
@@ -365,9 +389,9 @@ def _run_serial(
     indices: Sequence[int],
     config: SupervisorConfig,
     run_fn: Callable[[JobSpec], dict],
-    outcomes: dict[int, JobOutcome],
     stats: ExecutorStats,
-    journal=None,
+    start: Callable[..., None],
+    finish: Callable[..., None],
     stop_event=None,
     bus=None,
 ) -> None:
@@ -377,13 +401,10 @@ def _run_serial(
             stats.interrupted = True
             return
         attempts = 0
-        start = time.monotonic()
+        began = time.monotonic()
         while True:
             attempts += 1
-            if journal is not None:
-                journal.record_start(i, specs[i])
-            if bus is not None:
-                bus.emit("job_started", index=i, attempt=attempts)
+            start(i, attempt=attempts)
             try:
                 result = run_fn(specs[i])
             except Exception as exc:
@@ -398,16 +419,14 @@ def _run_serial(
                                  delay_s=delay, error=_describe(exc))
                     time.sleep(delay)
                     continue
-                outcomes[i] = JobOutcome(
+                outcome = JobOutcome(
                     spec=specs[i], result=None, error=_describe(exc),
-                    attempts=attempts, elapsed_s=time.monotonic() - start,
+                    attempts=attempts, elapsed_s=time.monotonic() - began,
                 )
             else:
-                outcomes[i] = JobOutcome(
+                outcome = JobOutcome(
                     spec=specs[i], result=result, attempts=attempts,
-                    elapsed_s=time.monotonic() - start,
+                    elapsed_s=time.monotonic() - began,
                 )
-            if journal is not None:
-                journal.record_outcome(i, outcomes[i])
-            _emit_outcome(bus, i, outcomes[i])
+            finish(i, outcome)
             break

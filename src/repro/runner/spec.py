@@ -114,6 +114,20 @@ class JobSpec:
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    def scenario_data(self) -> dict[str, Any]:
+        """The scenario object with overrides, duration and seed merged in.
+
+        This is the JSON shape ``parse_scenario`` reads on every engine,
+        so a fleet member and a pool worker parse the same dict.
+        """
+        data = dict(self.scenario)
+        data.update(self.overrides)
+        if self.duration_s is not None:
+            data["duration_s"] = self.duration_s
+        if self.seed is not None:
+            data["seed"] = self.seed
+        return data
+
     @property
     def label(self) -> str:
         """A short human-readable tag for progress lines."""

@@ -1,9 +1,11 @@
-"""run_grid_fleet: batching, fallback, cache, ordering, CLI wiring.
+"""The fleet engine of run_grid: batching, fallback, cache, journal,
+ordering, CLI wiring.
 
-The contract under test: ``run_grid_fleet`` is a drop-in for
-``run_grid`` — same outcome order, same result dicts byte for byte,
-same cache keys — it just routes fleet-eligible scenario groups through
-one vectorized engine and everything else through the pool.
+The contract under test: ``engine="fleet"`` (``run_grid_fleet``) is a
+drop-in for the pool — same outcome order, same result dicts byte for
+byte, same cache keys and journal records — it just routes
+fleet-eligible scenario groups through one vectorized engine and
+everything else through the pool.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import json
 
 import pytest
 
+from repro.resilience import SweepJournal
 from repro.runner import (
     JobSpec,
     ResultCache,
     execute_spec,
+    fleet_grid,
     run_grid,
     run_grid_fleet,
 )
@@ -130,16 +134,55 @@ class TestRunGridFleet:
         for a, b in zip(first.outcomes, second.outcomes):
             assert _encode(a.result) == _encode(b.result)
 
-    def test_fleet_size_splits_groups(self):
+    def test_fleet_size_splits_groups(self, monkeypatch):
+        monkeypatch.setattr(fleet_grid, "FLEET_SIZE", 2)
         specs = [_fleet_spec(seed) for seed in (1, 2, 3, 4, 5)]
-        report = run_grid_fleet(specs, fleet_size=2)
+        report = run_grid_fleet(specs)
         assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats.batches == 2  # the fifth rides the pool
         for outcome, spec in zip(report.outcomes, specs):
             assert _encode(outcome.result) == _encode(execute_spec(spec))
 
-    def test_bad_fleet_size_rejected(self):
-        with pytest.raises(ValueError):
-            run_grid_fleet([_fleet_spec(1)], fleet_size=0)
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            run_grid([_fleet_spec(1)], engine="gpu")
+
+
+def _mixed_specs() -> list[JobSpec]:
+    """Three fleet-eligible jobs and two noisy pool-fallback jobs (1, 3)."""
+    return [_fleet_spec(1), _noisy_spec(7), _fleet_spec(2), _noisy_spec(8),
+            _fleet_spec(3)]
+
+
+class TestFallbackAccounting:
+    """Pool-fallback jobs of a fleet grid are looked up, cached and
+    journaled once, under the caller's indices, as on the pool engine."""
+
+    def test_each_job_is_one_cache_lookup(self, tmp_path):
+        specs = _mixed_specs()
+        first = run_grid_fleet(specs, cache=ResultCache(tmp_path / "cache"))
+        assert all(o.ok for o in first.outcomes)
+        assert (first.cache_stats.misses, first.cache_stats.stores) == (5, 5)
+        second = run_grid_fleet(specs, cache=ResultCache(tmp_path / "cache"))
+        assert (second.cache_stats.hits, second.cache_stats.misses) == (5, 0)
+
+    def test_fallback_jobs_journal_start_then_finish(self, tmp_path):
+        specs = _mixed_specs()
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path, specs) as journal:
+            report = run_grid_fleet(specs, journal=journal)
+        assert all(o.ok for o in report.outcomes)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        events = [(r["kind"], r["index"]) for r in records
+                  if r["kind"] in ("start", "finish")]
+        assert sorted(i for kind, i in events if kind == "finish") == [
+            0, 1, 2, 3, 4]
+        for pos, (kind, i) in enumerate(events):
+            if kind == "finish":
+                assert ("start", i) in events[:pos], (i, events)
+        fallback = [event for event in events if event[1] in (1, 3)]
+        assert fallback == [("start", 1), ("finish", 1),
+                            ("start", 3), ("finish", 3)]
 
 
 class TestCliWiring:

@@ -237,9 +237,8 @@ class TestRunGridEmission:
         assert report.fleet_stats.members == 3
 
     def test_fleet_fallback_indices_remapped_to_outer_grid(self):
-        """Pool-fallback jobs inside a fleet sweep must report outer
-        grid indices, and the inner grid's started/finished pair is
-        suppressed."""
+        """Pool-fallback jobs inside a fleet sweep report the caller's
+        indices, and the sweep emits one started/finished pair."""
         from repro.runner.fleet_grid import run_grid_fleet
 
         specs = _scenario_specs(2) + _scenario_specs(1, fleet_ready=False)

@@ -60,6 +60,14 @@ class TestSweepJournalCli:
                   "--no-cache"])
         assert "cannot resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "batch"])
+    def test_resume_names_a_missing_journal(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.jsonl")
+        with pytest.raises(SystemExit):
+            main([command, "--resume", missing, "--no-cache"])
+        assert (f"cannot resume from {missing!r}: no such journal file"
+                in capsys.readouterr().err)
+
     def test_batch_resume_reuses_journal_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"jobs": [

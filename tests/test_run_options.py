@@ -27,10 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown policy"):
             RunOptions(policy="turbo")
 
-    def test_checkpoint_interval_requires_path(self):
-        with pytest.raises(ValueError, match="checkpoint_path"):
-            RunOptions(checkpoint_every_s=10.0)
-
 
 class TestRunSimulation:
     def test_options_equivalent_to_kwargs(self):
@@ -60,16 +56,6 @@ class TestRunSimulation:
         )
         assert result.system.policy_name == "baseline"
         assert result.violations == []
-
-    def test_checkpoint_delegation(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        result = run_simulation(
-            smp_config(), mixed_table2_workload(1),
-            options=RunOptions(duration_s=3.0, checkpoint_path=str(path),
-                               checkpoint_every_s=1.0),
-        )
-        assert result.duration_s == 3.0
-        assert path.exists()
 
 
 class TestScenarioRun:

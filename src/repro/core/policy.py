@@ -39,7 +39,11 @@ class SchedulingPolicy(Protocol):
         ...
 
     def periodic_balance(self, cpu_id: int) -> int:
-        """Periodic balancing pass for a CPU; returns tasks moved."""
+        """Periodic balancing pass for a CPU; returns tasks moved.
+
+        A pass moves a task only off a queue that holds at least 2
+        tasks; the fleet engine's housekeeping gate depends on this.
+        """
         ...
 
     def check_active_migration(self, cpu_id: int) -> bool:

@@ -968,69 +968,61 @@ class FleetEngine:
             np.fromiter(sorted(cands), dtype=np.intp, count=len(cands))
             for cands in idle
         ]
-        merged_sets = {}
-        table = (bal, idle, hot, idle_cols, merged_sets)
+        table = (bal, idle, hot, idle_cols)
         self._fire_tables[key] = table
         return table
 
     def _housekeeping(self, clock: Clock) -> None:
+        """Run the members' due §4.4 balance passes and §4.5 hot checks.
+
+        On a uniform cadence only members where a check could change
+        state run: a hot check could trigger (:meth:`_hot_possible`), or
+        a balance pass could move a task, i.e. a queue of the member
+        holds at least 2 tasks (``RunQueue.nr``, read live) and a
+        balance candidate fires or an idle candidate is unoccupied.
+
+        Sound because a pass moves only a queued task off a queue
+        holding at least 2: ``_pick_hot_task`` returns ``None`` below 2
+        ahead of its ablation branch and the exchange follows only a
+        pull; the load step's ``min(diff // 2, cap)`` is 0 unless
+        ``diff >= 2``, whatever ``min_imbalance`` is.  A pass that moves
+        nothing leaves no tracer counter or event, ``moves_by_level``
+        entry or RNG draw; ``audit`` is ``None`` on the fleet (observers
+        are ineligible) and the board's caches only memoise.  A skipped
+        ``_flush_thermal`` is a write-back, flushed before any read.
+        """
         ticks = clock.ticks
         M = self.n_machines
         if self.uniform:
             bt, it, ht = self.bal_ticks[0], self.idle_ticks[0], self.hot_ticks[0]
-            bal_t, idle_t, hot_t, idle_cols, merged_sets = self._fire_table(
-                bt, it, ht
+            bal_t, idle_t, hot_t, idle_cols = self._fire_table(bt, it, ht)
+            balset = bal_t[ticks % bt]
+            idleset = idle_t[ticks % it]
+            hotset = hot_t[ticks % ht]
+            need = (
+                self._hot_possible(hotset) if hotset
+                else np.zeros(M, dtype=bool)
             )
-            rb, ri, rh = ticks % bt, ticks % it, ticks % ht
-            balset = bal_t[rb]
-            idleset = idle_t[ri]
-            hotset = hot_t[rh]
-            if not balset:
-                # No balance pass anywhere: gate idle and hot candidates
-                # per machine with over-approximating vector tests, so
-                # machines where provably nothing can fire skip the
-                # python call entirely.  Idle: a candidate CPU must be
-                # unoccupied (nr == 0 implies current is None).  Hot:
-                # should_trigger() is a pure read that is False whenever
-                # the candidate's package heat is at or below the
-                # trigger ceiling, whatever the queue length.
-                if idleset:
-                    cols = idle_cols[ri]
-                    idle_need = ~self.has_cur[:, cols].all(axis=1)
-                else:
-                    idle_need = None
-                if hotset:
-                    hot_need = self._hot_possible(hotset)
-                    need = (
-                        hot_need if idle_need is None
-                        else (hot_need | idle_need)
-                    )
-                else:
-                    if idle_need is None:
-                        return
-                    need = idle_need
-                if not need.any():
-                    return
-                now_ms = clock.now_ms
-                key = (rb, ri, rh)
-                merged = merged_sets.get(key)
-                if merged is None:
-                    merged = merged_sets[key] = sorted(idleset | hotset)
-                for m in np.nonzero(need)[0]:
-                    self._housekeep_machine(
-                        int(m), merged, balset, idleset, hotset, now_ms
-                    )
+            if balset or idleset:
+                crowded = np.fromiter(
+                    (any(rq.nr >= 2 for rq in rqs) for rqs in self.rq_lists),
+                    dtype=bool, count=M,
+                )
+                if not balset:
+                    crowded &= ~self.has_cur[:, idle_cols[ticks % it]].all(axis=1)
+                need |= crowded
+            if not need.any():
                 return
             now_ms = clock.now_ms
             merged = sorted(balset | idleset | hotset)
-            for m in range(M):
+            for m in np.nonzero(need)[0]:
                 self._housekeep_machine(
-                    m, merged, balset, idleset, hotset, now_ms
+                    int(m), merged, balset, idleset, hotset, now_ms
                 )
         else:
             now_ms = clock.now_ms
             for m in range(M):
-                bal_t, idle_t, hot_t, _cols, _msets = self._fire_table(
+                bal_t, idle_t, hot_t, _cols = self._fire_table(
                     self.bal_ticks[m], self.idle_ticks[m], self.hot_ticks[m]
                 )
                 balset = bal_t[ticks % self.bal_ticks[m]]

@@ -1,13 +1,17 @@
 """Unit tests for the policy facades (paper §5 integration points)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.energy_balance import EnergyBalanceConfig, EnergyBalancer
 from repro.core.policy import (
     BaselinePolicy,
     EnergyAwareConfig,
     EnergyAwarePolicy,
 )
 from repro.cpu.topology import MachineSpec
+from repro.sched.load_balance import LoadBalanceConfig, load_balance_pass
 from tests.conftest import Harness, make_task
 
 
@@ -131,3 +135,52 @@ class TestAblationSwitches:
         # CPU 3 idle: least-loaded placement always chooses it, even for
         # a hot task that energy placement would have sent elsewhere.
         assert policy.place_new_task(make_task(power_w=60.0)) == 3
+
+
+class TestUncrowdedPassMovesNothing:
+    """``periodic_balance`` moves a task only off a queue holding at
+    least 2 tasks; the fleet engine skips members on that basis."""
+
+    CONFIGS = (
+        EnergyBalanceConfig(),
+        EnergyBalanceConfig(use_rq_condition=False),
+        EnergyBalanceConfig(use_thermal_condition=False),
+        EnergyBalanceConfig(
+            thermal_margin_ratio=0.0, rq_margin_ratio=0.0, min_gain_ratio=0.0,
+            load=LoadBalanceConfig(min_imbalance=1),
+        ),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cpus=st.lists(
+            st.tuples(
+                st.sampled_from(["empty", "running", "queued"]),
+                st.floats(1.0, 60.0),
+                st.floats(0.0, 40.0),
+            ),
+            min_size=16, max_size=16,
+        )
+    )
+    def test_no_pass_moves_a_task(self, cpus):
+        # built here: hypothesis rejects function-scoped fixtures
+        x445 = Harness(MachineSpec.ibm_x445(smt=True), max_power_w=20.0)
+        for cpu, (state, profile_w, thermal_w) in enumerate(cpus):
+            x445.set_thermal(cpu, thermal_w)
+            if state != "empty":
+                x445.add_task(cpu, profile_w, running=state == "running")
+        for config in self.CONFIGS:
+            balancer = EnergyBalancer(
+                x445.metrics, x445.hierarchy, x445.runqueues,
+                lambda t, s, d, r: x445.migrate(t, s, d, r), config,
+            )
+            for cpu in x445.runqueues:
+                assert balancer.balance(cpu) == 0
+            assert balancer.moves_by_level == {}
+        for min_imbalance in (1, 2):
+            config = LoadBalanceConfig(min_imbalance=min_imbalance)
+            for cpu in x445.runqueues:
+                assert load_balance_pass(
+                    cpu, x445.hierarchy, x445.runqueues, x445.migrate, config
+                ) == 0
+        assert x445.migrations == []

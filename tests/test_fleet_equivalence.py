@@ -168,3 +168,56 @@ class TestGeneratedFamilies:
                 System(scenario.config, scenario.workload,
                        policy=scenario.policy)
             )
+
+
+class TestHousekeepingGate:
+    """A member runs its §4.4/§4.5 housekeeping only when a pass could
+    move a task (a queue holds at least 2) or a hot check could fire."""
+
+    CADENCES = ("timeslice_ms", "balance_interval_ms",
+                "idle_balance_interval_ms", "hot_check_interval_ms",
+                "sample_interval_s")
+
+    def test_uncrowded_members_skip_every_pass(self):
+        """16 tasks on 16 CPUs at default cadences: nothing can move."""
+        from repro.api import run_simulation
+
+        scenario = {k: v for k, v in FLEET_SCENARIO.scenario.items()
+                    if k not in self.CADENCES}
+        configs = [parse_scenario(dict(scenario, seed=s)).config
+                   for s in (1, 2, 3, 4)]
+        engine = FleetEngine([
+            System(config, steady_mix_workload(4), policy="energy")
+            for config in configs
+        ])
+        engine.run_ticks(N_TICKS)
+        assert engine.stats.housekeeping_fires == 0
+        for config, result in zip(configs, engine.results(DURATION_S)):
+            alone = run_simulation(
+                config, steady_mix_workload(4), policy="energy",
+                duration_s=DURATION_S, fast_path=True,
+            )
+            assert _encode(result.scalar_summary()) == _encode(
+                alone.scalar_summary()
+            ), f"seed {config.seed} diverged"
+
+    @pytest.mark.parametrize("policy", ["energy", "baseline"])
+    def test_crowded_members_still_balance(self, policy):
+        from repro.scenarios import GeneratorSpec
+
+        def build(seed):
+            scenario = GeneratorSpec(
+                "poisson",
+                {"machine": "ibm_x445", "rate_per_s": 8.0, "horizon_s": 3.0},
+                seed=seed,
+            ).build()
+            return System(scenario.config, scenario.workload, policy=policy)
+
+        seeds = (1, 2, 3, 4)
+        report = fleet_lockstep(
+            [lambda s=s: build(s) for s in seeds], n_ticks=N_TICKS
+        )
+        assert report.identical, report.to_dict()
+        engine = FleetEngine([build(s) for s in seeds])
+        engine.run_ticks(N_TICKS)
+        assert sum(r.migrations() for r in engine.results(DURATION_S)) > 0

@@ -16,12 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.cpu.frequency import ExecutionModel
-from repro.cpu.power import (
-    CalibrationSample,
-    GroundTruthPower,
-    LinearEnergyEstimator,
-    calibrate_estimator,
-)
+from repro.cpu.power import GroundTruthPower, LinearEnergyEstimator, fit_estimator
 from repro.workloads.programs import ProgramSpec
 
 
@@ -47,36 +42,33 @@ def build_calibrated_estimator(
     programs = list(programs)
     if not programs:
         raise ValueError("need at least one calibration program")
-    samples: list[CalibrationSample] = []
     freq = exec_model.freq_hz
-    for index, spec in enumerate(programs):
+    # The loop makes only the rng draws, each slice in the contract's
+    # order: the behaviour's, the counter jitter's (when enabled), then
+    # the multimeter noise's.  The rest runs over all slices at once (a
+    # disabled jitter is a factor of 1.0, which multiplies exactly).
+    rates, cycles, sibling, jitter, noise = [], [], [], [], []
+    for spec in programs:
         behavior = spec.build_behavior(power, freq, rng)
         for s in range(slices_per_program):
-            sibling_busy = smt and (s % 2 == 1)
-            mix = behavior.step(slice_s)
-            cycles = exec_model.effective_cycles(slice_s, sibling_busy)
-            deltas = mix.rates_per_cycle * cycles
-            if counter_jitter_sigma:
-                deltas = deltas * max(0.0, 1.0 + rng.gauss(0.0, counter_jitter_sigma))
-            dyn = power.dynamic_power_w(mix.rates_per_cycle, freq)
-            if sibling_busy:
-                # The sibling runs the same mix; the multimeter sees the
-                # whole package, and the paper attributes half to each
-                # logical CPU (the counters distinguish them, §4.7).
-                dyn_threads = [dyn * exec_model.smt_thread_factor] * 2
-                package_w = power.sample_package_power_w(dyn_threads, False, rng)
-                energy = package_w * slice_s / 2.0
-                base_share = 0.5
-            else:
-                package_w = power.sample_package_power_w([dyn], False, rng)
-                energy = package_w * slice_s
-                base_share = 1.0
-            samples.append(
-                CalibrationSample(
-                    busy_s=slice_s,
-                    counter_deltas=np.asarray(deltas, dtype=float),
-                    measured_energy_j=energy,
-                    base_share=base_share,
-                )
-            )
-    return calibrate_estimator(samples)
+            busy = smt and s % 2 == 1
+            rates.append(behavior.step(slice_s).rates_per_cycle)
+            cycles.append(exec_model.effective_cycles(slice_s, busy))
+            sibling.append(busy)
+            g = rng.gauss(0.0, counter_jitter_sigma) if counter_jitter_sigma else 0.0
+            jitter.append(max(0.0, 1.0 + g))
+            noise.append(rng.gauss(0.0, power.params.noise_sigma))
+    rates = np.array(rates)
+    sibling = np.array(sibling)
+    deltas = rates * np.array(cycles)[:, None] * np.array(jitter)[:, None]
+    dyn = power.dynamic_power_w_batch(rates, freq)
+    # With a busy sibling, it runs the same mix; the multimeter sees the
+    # whole package, and the paper attributes half to each logical CPU
+    # (the counters distinguish them, §4.7).  ``t + t`` is the scalar
+    # model's ``sum([t, t])``.
+    t = dyn * exec_model.smt_thread_factor
+    package_w = power.package_power_w_batch(
+        np.where(sibling, t + t, dyn), np.array(noise)
+    )
+    energy = np.where(sibling, package_w * slice_s / 2.0, package_w * slice_s)
+    return fit_estimator(slice_s * np.where(sibling, 0.5, 1.0), deltas, energy)

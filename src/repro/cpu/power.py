@@ -94,6 +94,14 @@ class GroundTruthPower:
         p = self.params
         return linear + p.nonlinear_coeff * linear * linear / p.nonlinear_scale_w
 
+    def dynamic_power_w_batch(self, rates: np.ndarray, freq_hz: float) -> np.ndarray:
+        """:meth:`dynamic_power_w` of each row of ``rates``, bit-equal row by
+        row: ``matmul`` by ``(n, 1, N_EVENTS)`` rows runs the scalar form's
+        1-D dot per row, where ``rates @ weights`` (gemv) can differ."""
+        linear = np.matmul(rates[:, None, :], self._weights)[:, 0] * freq_hz * 1e-9
+        p = self.params
+        return linear + p.nonlinear_coeff * linear * linear / p.nonlinear_scale_w
+
     def sample_package_power_w(
         self,
         dynamic_w_per_thread: list[float],
@@ -108,6 +116,11 @@ class GroundTruthPower:
             clean = p.base_active_w + sum(dynamic_w_per_thread)
         return clean * (1.0 + rng.gauss(0.0, p.noise_sigma))
 
+    def package_power_w_batch(self, dyn_w: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """:meth:`sample_package_power_w` of active packages, given each
+        sample's summed thread power and its ``gauss(0.0, noise_sigma)``."""
+        return (self.params.base_active_w + dyn_w) * (1.0 + noise)
+
     def rates_for_dynamic_power(
         self, flavor: np.ndarray, target_dynamic_w: float, freq_hz: float
     ) -> np.ndarray:
@@ -116,6 +129,8 @@ class GroundTruthPower:
         Inverts the *linear* part of the model; the nonlinearity is
         compensated iteratively so the ground-truth dynamic power of the
         returned rates equals ``target_dynamic_w`` to within 1e-9 W.
+        Raises :class:`ValueError` for a target the iteration cannot
+        reach with non-negative rates (very large targets).
         """
         flavor = np.asarray(flavor, dtype=float)
         if flavor.shape != (N_EVENTS,):
@@ -134,6 +149,11 @@ class GroundTruthPower:
             if abs(error) < 1e-9:
                 break
             k -= error / unit_w
+        if not abs(error) < 1e-9 or k < 0:
+            raise ValueError(
+                f"cannot solve event rates for a {target_dynamic_w} W dynamic "
+                f"target: residual {error} W at scale {k}"
+            )
         return flavor * k
 
 
@@ -285,17 +305,24 @@ def calibrate_estimator(samples: list[CalibrationSample]) -> LinearEnergyEstimat
     event counts and multimeter energy, and solve the linear system
     (here in the least-squares sense as the system is overdetermined).
     """
-    if len(samples) < N_EVENTS + 1:
+    return fit_estimator(
+        [s.busy_s * s.base_share for s in samples],
+        [s.counter_deltas for s in samples],
+        [s.measured_energy_j for s in samples],
+    )
+
+
+def fit_estimator(static_s, counter_deltas, energy_j) -> LinearEnergyEstimator:
+    """:func:`calibrate_estimator` over arrays with one row per sample: busy
+    time times base share, counter deltas, and measured energy."""
+    if len(energy_j) < N_EVENTS + 1:
         raise ValueError(
             f"need at least {N_EVENTS + 1} samples to fit "
-            f"{N_EVENTS + 1} coefficients, got {len(samples)}"
+            f"{N_EVENTS + 1} coefficients, got {len(energy_j)}"
         )
-    a = np.empty((len(samples), N_EVENTS + 1), dtype=float)
-    y = np.empty(len(samples), dtype=float)
-    for row, s in enumerate(samples):
-        a[row, 0] = s.busy_s * s.base_share
-        a[row, 1:] = np.asarray(s.counter_deltas, dtype=float) * 1e-9
-        y[row] = s.measured_energy_j
-    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
+    a = np.empty((len(energy_j), N_EVENTS + 1), dtype=float)
+    a[:, 0] = static_s
+    a[:, 1:] = np.asarray(counter_deltas, dtype=float) * 1e-9
+    coeffs, *_ = np.linalg.lstsq(a, np.asarray(energy_j, dtype=float), rcond=None)
     weights = np.clip(coeffs[1:], 0.0, None)
     return LinearEnergyEstimator(base_w=float(coeffs[0]), weights_nj=weights)

@@ -19,12 +19,13 @@ the phase structure plus a per-program wobble.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.power import GroundTruthPower
+from repro.cpu.power import GroundTruthPower, PowerModelParams
 from repro.workloads.behavior import (
     AlternatingBehavior,
     Behavior,
@@ -125,17 +126,24 @@ class ProgramSpec:
         self, power: GroundTruthPower, freq_hz: float, rng: random.Random
     ) -> Behavior:
         """Solve phase mixes against the power model and build the machine."""
-        base_w = power.params.base_active_w
+        p = power.params
+        solve_params = PowerModelParams(
+            weights_nj=tuple(map(float, p.weights_nj)),
+            nonlinear_coeff=float(p.nonlinear_coeff),
+            nonlinear_scale_w=float(p.nonlinear_scale_w),
+        )
         specs: list[PhaseSpec] = []
         for phase in self.phases:
-            dyn_target = phase.total_power_w - base_w
+            dyn_target = phase.total_power_w - p.base_active_w
             if dyn_target < 0:
                 raise ValueError(
                     f"{self.name}: phase {phase.label!r} targets "
-                    f"{phase.total_power_w} W below base power {base_w} W"
+                    f"{phase.total_power_w} W below base power {p.base_active_w} W"
                 )
-            flavor = np.asarray(phase.flavor or self.flavor, dtype=float)
-            rates = power.rates_for_dynamic_power(flavor, dyn_target, freq_hz)
+            flavor = tuple(map(float, phase.flavor or self.flavor))
+            rates = _phase_rates(
+                flavor, float(dyn_target), float(freq_hz), solve_params
+            )
             mix = InstructionMix(rates, ipc=self.ipc, label=f"{self.name}:{phase.label}")
             specs.append(
                 PhaseSpec(
@@ -157,6 +165,19 @@ class ProgramSpec:
         return SpikyBehavior(
             specs, rng, spike_probability=self.spike_probability, **common
         )
+
+
+@functools.lru_cache(maxsize=1024)
+def _phase_rates(flavor, dyn_target_w, freq_hz, params) -> np.ndarray:
+    """Solved rates of one phase, once per process, as a read-only array.
+
+    The solve draws nothing, and ``params`` (hashable) holds only the
+    fields it reads: weights and the nonlinear term.
+    """
+    power = GroundTruthPower(params)
+    rates = power.rates_for_dynamic_power(np.asarray(flavor), dyn_target_w, freq_hz)
+    rates.flags.writeable = False
+    return rates
 
 
 def _static(name, inode, power_w, flavor, ipc, wobble, solo_job_s=30.0):

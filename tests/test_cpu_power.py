@@ -86,6 +86,26 @@ class TestRatesForDynamicPower:
         with pytest.raises(ValueError):
             power.rates_for_dynamic_power(np.ones(3), 10.0, 2.2e9)
 
+    @pytest.mark.parametrize("target", [1100.0, 2000.0, 3000.0])
+    def test_rejects_target_the_iteration_misses(self, power, target):
+        flavor = np.array([0.8, 0.40, 0.0, 0.45, 0.004, 0.30])
+        with pytest.raises(ValueError, match=f"{target} W dynamic target: residual"):
+            power.rates_for_dynamic_power(flavor, target, 2.2e9)
+
+    def test_rejects_negative_scale(self, power):
+        """5 kW with the ALU flavour meets the tolerance, but only on the
+        parabola's negative branch, with negative event rates."""
+        flavor = np.array([1.8, 1.6, 0.0, 0.1, 0.001, 0.35])
+        with pytest.raises(ValueError, match="5000.0 W dynamic target.*scale -"):
+            power.rates_for_dynamic_power(flavor, 5000.0, 2.2e9)
+
+    @pytest.mark.parametrize("target", [1e-6, 1000.0])
+    def test_reachable_targets_still_solve(self, power, target):
+        flavor = np.array([0.8, 0.40, 0.0, 0.45, 0.004, 0.30])
+        rates = power.rates_for_dynamic_power(flavor, target, 2.2e9)
+        assert np.all(rates >= 0)
+        assert abs(power.dynamic_power_w(rates, 2.2e9) - target) < 1e-9
+
 
 class TestPackagePowerSampling:
     def test_halted_package_near_halted_power(self, power):

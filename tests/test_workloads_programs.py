@@ -81,6 +81,68 @@ class TestTable2Powers:
                 assert achieved == pytest.approx(phase.total_power_w, abs=1e-6)
 
 
+class TestPhaseSolveMemo:
+    """Phase rates are solved once per process and shared read-only."""
+
+    def test_built_mixes_equal_a_fresh_solve(self, power):
+        for spec in PROGRAMS.values():
+            behavior = spec.build_behavior(power, FREQ, random.Random(0))
+            for phase, built in zip(spec.phases, behavior.phases, strict=True):
+                fresh = power.rates_for_dynamic_power(
+                    np.asarray(phase.flavor or spec.flavor, dtype=float),
+                    phase.total_power_w - power.params.base_active_w,
+                    FREQ,
+                )
+                assert built.mix.rates_per_cycle.tobytes() == fresh.tobytes()
+
+    def test_cached_rates_are_read_only(self, power):
+        behavior = program("bitcnts").build_behavior(power, FREQ, random.Random(0))
+        with pytest.raises(ValueError, match="read-only"):
+            behavior.phases[0].mix.rates_per_cycle[0] = 0.0
+
+    def test_model_and_frequency_key_the_solve(self):
+        spec = program("openssl")
+
+        def rates(params, freq_hz):
+            behavior = spec.build_behavior(
+                GroundTruthPower(params), freq_hz, random.Random(0)
+            )
+            return [p.mix.rates_per_cycle.tobytes() for p in behavior.phases]
+
+        default = rates(PowerModelParams(), FREQ)
+        for other in (
+            rates(PowerModelParams(base_active_w=22.0), FREQ),
+            rates(PowerModelParams(), 1.8e9),
+        ):
+            assert all(a != b for a, b in zip(default, other, strict=True))
+
+    def test_behaviors_share_rates_but_not_phase_lists(self, power):
+        spec = program("openssl")
+        a = spec.build_behavior(power, FREQ, random.Random(0))
+        b = spec.build_behavior(power, FREQ, random.Random(0))
+        assert a.phases is not b.phases
+        assert a.phases[0].mix.rates_per_cycle is b.phases[0].mix.rates_per_cycle
+
+    def test_list_valued_fields_still_build(self):
+        """Lists are unhashable; the memo keys on converted values."""
+        weights = list(PowerModelParams().weights_nj)
+        power = GroundTruthPower(PowerModelParams(weights_nj=weights))
+        spec = ProgramSpec(
+            name="x", inode=1, kind="spiky",
+            phases=(
+                PhaseDef(40.0, 1.0, "p"),
+                PhaseDef(50.0, 0.2, "q", flavor=[1.0, 0.5, 0.0, 0.5, 0.01, 0.2]),
+            ),
+            flavor=[1.0] * 6, ipc=1.0,
+        )
+        behavior = spec.build_behavior(power, FREQ, random.Random(0))
+        totals = [
+            20.0 + power.dynamic_power_w(p.mix.rates_per_cycle, FREQ)
+            for p in behavior.phases
+        ]
+        assert totals == pytest.approx([40.0, 50.0], abs=1e-6)
+
+
 class TestProgramSpecValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,14 @@ class TestTraceToProgram:
             seen.add(round(total))
         assert seen == {45, 61, 38}
 
+    def test_rejects_power_the_solver_cannot_reach(self):
+        """A 2,020 W segment (2,000 W dynamic) used to build silently, with
+        a ground-truth package power of ~3.1 kW."""
+        power = GroundTruthPower(PowerModelParams())
+        spec = PowerTrace.from_pairs([(10.0, 2020.0)]).to_program("svc", 9100)
+        with pytest.raises(ValueError, match="2000.0 W dynamic target"):
+            spec.build_behavior(power, 2.2e9, random.Random(0))
+
     def test_rejects_power_below_base(self):
         power = GroundTruthPower(PowerModelParams())
         spec = PowerTrace.from_pairs([(1.0, 15.0)]).to_program("low", 9005)

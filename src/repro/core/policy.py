@@ -16,7 +16,7 @@ components can be switched off individually for ablation studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol
 
 from repro.core.energy_balance import EnergyBalanceConfig, EnergyBalancer
 from repro.core.hot_migration import HotMigrationConfig, HotTaskMigrator
@@ -42,7 +42,9 @@ class SchedulingPolicy(Protocol):
         """Periodic balancing pass for a CPU; returns tasks moved.
 
         A pass moves a task only off a queue that holds at least 2
-        tasks; the fleet engine's housekeeping gate depends on this.
+        tasks; the housekeeping gates of both engines (``System`` and
+        ``FleetEngine``) skip passes through :func:`balance_can_move`,
+        so they depend on this.
         """
         ...
 
@@ -57,6 +59,18 @@ class SchedulingPolicy(Protocol):
     def on_first_timeslice(self, task: Task, power_w: float) -> None:
         """A task completed its first timeslice at ``power_w``."""
         ...
+
+
+def balance_can_move(runqueues: Iterable[RunQueue]) -> bool:
+    """Could a :meth:`SchedulingPolicy.periodic_balance` pass move a task?
+
+    Only if some queue holds at least 2 tasks (``RunQueue.nr``, read
+    live).  False means every pass over these queues is a no-op.
+    """
+    for rq in runqueues:
+        if rq.nr >= 2:
+            return True
+    return False
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ewma import thermal_alpha
+from repro.core.policy import balance_can_move
 from repro.cpu.thermal import rc_decay
 from repro.sim.clock import Clock
 from repro.system import System
@@ -490,12 +491,7 @@ class FleetEngine:
         self._wake_min = float(self.wake_next.min())
 
     def _recompute_fork_next(self, m: int) -> None:
-        pending = [
-            slot.spec.arrival_s * 1000.0
-            for slot in self.systems[m].slots
-            if not slot.forked
-        ]
-        self.fork_next[m] = min(pending) if pending else _INF
+        self.fork_next[m] = self.systems[m]._next_fork_ms
         self._fork_min = float(self.fork_next.min())
 
     # ------------------------------------------------------------------
@@ -977,9 +973,10 @@ class FleetEngine:
 
         On a uniform cadence only members where a check could change
         state run: a hot check could trigger (:meth:`_hot_possible`), or
-        a balance pass could move a task, i.e. a queue of the member
-        holds at least 2 tasks (``RunQueue.nr``, read live) and a
-        balance candidate fires or an idle candidate is unoccupied.
+        a balance pass could move a task, i.e. ``balance_can_move`` (the
+        predicate ``System._housekeeping`` also gates on) holds for the
+        member's queues and a balance candidate fires or an idle
+        candidate is unoccupied.
 
         Sound because a pass moves only a queued task off a queue
         holding at least 2: ``_pick_hot_task`` returns ``None`` below 2
@@ -1005,8 +1002,7 @@ class FleetEngine:
             )
             if balset or idleset:
                 crowded = np.fromiter(
-                    (any(rq.nr >= 2 for rq in rqs) for rqs in self.rq_lists),
-                    dtype=bool, count=M,
+                    map(balance_can_move, self.rq_lists), dtype=bool, count=M
                 )
                 if not balset:
                     crowded &= ~self.has_cur[:, idle_cols[ticks % it]].all(axis=1)

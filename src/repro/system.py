@@ -22,7 +22,8 @@ kernel integration:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclasses_replace
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
+from functools import lru_cache
+from math import cos as _cos, inf, lcm, log as _log, sin as _sin, sqrt as _sqrt
 from random import TWOPI as _TWOPI
 from time import perf_counter
 
@@ -36,6 +37,7 @@ from repro.core.policy import (
     EnergyAwareConfig,
     EnergyAwarePolicy,
     SchedulingPolicy,
+    balance_can_move,
 )
 from repro.core.policyspec import PolicySpec
 from repro.core.profile import EnergyProfile
@@ -88,7 +90,7 @@ _DERIVED_ATTRS = (
     "_rc_decays",      # per-tick-length memo
     "_sib1",           # single-SMT-sibling index table (from _siblings)
     "_hk_tables",      # housekeeping fire tables (from the tick periods)
-    "_all_forked",     # true once every workload slot has forked
+    "_next_fork_ms",   # earliest arrival among unforked slots (inf: none)
     "_exec_memo",      # per-CPU (mix, cycles, entry) memo over _tick_cache
     "_jit_scratch",    # per-tick counter-credit scratch row
     "_pkg_pairs",      # two-CPU package index pairs (from _pkg_cpus)
@@ -98,8 +100,48 @@ _DERIVED_ATTRS = (
 
 #: Housekeeping fire tables repeat with period lcm(balance, idle, hot)
 #: ticks; beyond this many entries the table is not worth the memory and
-#: :meth:`System._housekeeping` falls back to the plain modulo loop.
+#: :meth:`System._housekeeping` computes each tick's fires by modulo.
 _HK_TABLE_MAX = 16384
+
+
+def _hk_fires(
+    ticks: int, b: int, i: int, h: int, n_cpus: int
+) -> tuple[tuple[int, int], ...]:
+    """Which CPUs' periodic work fires on tick ``ticks``, as ``(cpu, mask)``.
+
+    Mask bits: 1 = balance fires, 2 = idle balance candidate, 4 = hot
+    check fires, for balance / idle / hot periods ``b`` / ``i`` / ``h``
+    ticks.  CPUs with no work that tick are left out.
+    """
+    fires = []
+    for c in range(n_cpus):
+        mask = 0
+        if (ticks + c * 3) % b == 0:
+            mask |= 1
+        if (ticks + c) % i == 0:
+            mask |= 2
+        if (ticks + c) % h == 0:
+            mask |= 4
+        if mask:
+            fires.append((c, mask))
+    return tuple(fires)
+
+
+@lru_cache(maxsize=16)
+def _hk_fire_table(
+    b: int, i: int, h: int, n_cpus: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """:func:`_hk_fires` for each residue of the stagger period
+    lcm(b, i, h), shared by every machine with the same cadences."""
+    return tuple(_hk_fires(r, b, i, h, n_cpus) for r in range(lcm(b, i, h)))
+
+
+def _next_arrival_ms(slots: list[SlotState]) -> float:
+    """Earliest arrival (ms) among the slots not yet forked; inf if none."""
+    return min(
+        (slot.spec.arrival_s * 1000 for slot in slots if not slot.forked),
+        default=inf,
+    )
 
 
 def _sib1_table(siblings: list[tuple[int, ...]]) -> list[int]:
@@ -408,8 +450,8 @@ class System:
         self._idle_balance_ticks = max(1, config.idle_balance_interval_ms // tick)
         self._hot_check_ticks = max(1, config.hot_check_interval_ms // tick)
         self._sample_every = max(1, int(config.sample_interval_s * 1000) // tick)
-        self._hk_tables: list[tuple[tuple[int, int], ...]] | None = None
-        self._all_forked = False
+        self._hk_tables: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._next_fork_ms = _next_arrival_ms(self.slots)
 
     # ------------------------------------------------------------------------
     # Checkpointing
@@ -445,7 +487,7 @@ class System:
         self._meter_gauss = [r.gauss for r in self._meter_rngs]
         self._sib1 = _sib1_table(self._siblings)
         self._hk_tables = None
-        self._all_forked = all(slot.forked for slot in self.slots)
+        self._next_fork_ms = _next_arrival_ms(self.slots)
         self._exec_memo = [None] * self.n_cpus
         self._jit_scratch = np.zeros(N_EVENTS)
         self._pkg_pairs = [
@@ -611,18 +653,19 @@ class System:
         self._blocked = still
 
     def _fork_due(self, now_ms: int) -> None:
-        # Slots fork exactly once; after the last arrival this is a pure
-        # flag test on every subsequent tick.
-        if self._all_forked:
+        # Slots fork exactly once, in slot order; until the earliest
+        # pending arrival this is one comparison per tick.
+        if now_ms < self._next_fork_ms:
             return
-        pending = False
+        next_ms = inf
         for slot in self.slots:
             if not slot.forked:
-                if slot.spec.arrival_s * 1000 <= now_ms:
+                arrival_ms = slot.spec.arrival_s * 1000
+                if arrival_ms <= now_ms:
                     self._fork(slot, now_ms)
-                else:
-                    pending = True
-        self._all_forked = not pending
+                elif arrival_ms < next_ms:
+                    next_ms = arrival_ms
+        self._next_fork_ms = next_ms
 
     def _fork(self, slot: SlotState, now_ms: int) -> Task:
         """Create a new task for a slot and place it via the policy (§4.6)."""
@@ -1331,84 +1374,58 @@ class System:
                 self.tracer.event(EventRecord(clock.now_ms, kind, cpu=c))
 
     # -- periodic policy work -----------------------------------------------------
-    def _build_hk_tables(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Memoise which CPUs' periodic work fires on which tick.
-
-        The stagger pattern repeats with period lcm(balance, idle, hot)
-        ticks, so each residue maps to a fixed candidate list of
-        ``(cpu, mask)`` pairs (mask bits: 1 = balance fires, 2 = idle
-        balance candidate, 4 = hot check fires).  CPUs with no work that
-        tick never enter the loop.  An empty tuple marks a period too
-        long to table; :meth:`_housekeeping` then keeps the plain
-        modulo loop.
-        """
-        from math import lcm
-
-        b = self._balance_ticks
-        i = self._idle_balance_ticks
-        h = self._hot_check_ticks
-        period = lcm(b, i, h)
-        if period > _HK_TABLE_MAX:
-            self._hk_tables = ()
-            return ()
-        tables = []
-        for r in range(period):
-            entries = []
-            for c in range(self.n_cpus):
-                mask = 0
-                if (r + c * 3) % b == 0:
-                    mask |= 1
-                if (r + c) % i == 0:
-                    mask |= 2
-                if (r + c) % h == 0:
-                    mask |= 4
-                if mask:
-                    entries.append((c, mask))
-            tables.append(tuple(entries))
-        self._hk_tables = tuple(tables)
-        return self._hk_tables
-
     def _housekeeping(self, clock: Clock) -> None:
         ticks = clock.ticks
         tables = self._hk_tables
         if tables is None:
-            tables = self._build_hk_tables()
+            b, i, h = (
+                self._balance_ticks, self._idle_balance_ticks, self._hot_check_ticks
+            )
+            # An empty tuple marks a stagger period too long to table.
+            tables = self._hk_tables = (
+                _hk_fire_table(b, i, h, self.n_cpus)
+                if lcm(b, i, h) <= _HK_TABLE_MAX
+                else ()
+            )
         if tables:
-            # Same calls in the same ascending-CPU order as the modulo
-            # loop below; the idle-balance runqueue test still happens
-            # lazily at this CPU's position in the sequence.
             fires = tables[ticks % len(tables)]
-            if not fires:
-                return
-            hist = self._obs_balance_hist
-            runqueues = self.runqueues
-            policy = self.policy
-            for c, mask in fires:
-                if (mask & 1) or (mask & 2 and not runqueues[c].nr):
+        else:
+            fires = _hk_fires(
+                ticks, self._balance_ticks, self._idle_balance_ticks,
+                self._hot_check_ticks, self.n_cpus,
+            )
+        if not fires:
+            return
+        hist = self._obs_balance_hist
+        rqs = self._rq_list
+        policy = self.policy
+        # The §4.4 gate: a pass moves a task only off a queue holding at
+        # least 2 (balance_can_move), so the unobserved fast path skips
+        # due passes while no queue does.  None means "read the queues
+        # at the next balance candidate"; a hot migration resets it, as
+        # an exchange whose first half a fault plan drops leaves 2 tasks
+        # on one queue.  The scalar path (the specification) and
+        # observed runs (the audit log and the balance histogram see
+        # every pass) keep every pass.
+        crowded = (
+            None if self.fast_path and hist is None and self._obs_audit is None
+            else True
+        )
+        # The idle-balance runqueue test runs lazily at its CPU's
+        # position, in ascending-CPU order.
+        for c, mask in fires:
+            if (mask & 1) or (mask & 2 and not rqs[c].nr):
+                if crowded is None:
+                    crowded = balance_can_move(rqs)
+                if crowded:
                     if hist is None:
                         policy.periodic_balance(c)
                     else:
                         t0 = perf_counter()
                         policy.periodic_balance(c)
                         hist.observe(perf_counter() - t0)
-                if mask & 4:
-                    policy.check_active_migration(c)
-            return
-        hist = self._obs_balance_hist
-        for c in range(self.n_cpus):
-            rq = self.runqueues[c]
-            phase = ticks + c * 3
-            if phase % self._balance_ticks == 0 or (
-                not rq.nr and (ticks + c) % self._idle_balance_ticks == 0
-            ):
-                if hist is None:
-                    self.policy.periodic_balance(c)
-                else:
-                    t0 = perf_counter()
-                    self.policy.periodic_balance(c)
-                    hist.observe(perf_counter() - t0)
-            if (ticks + c) % self._hot_check_ticks == 0:
-                self.policy.check_active_migration(c)
+            if mask & 4 and policy.check_active_migration(c) and crowded is False:
+                crowded = None
 
     # -- migration callback ---------------------------------------------------------
     def _migrate(self, task: Task, src: int, dst: int, reason: str) -> None:

@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="benchmark the batched tick loop against the scalar "
-             "reference and write BENCH_perf.json",
+        help="check the batched tick loop against the scalar reference "
+             "byte for byte and write a BENCH_perf.json timing snapshot",
     )
     perf.add_argument("--scenario", action="append", default=None,
                       metavar="NAME", dest="scenarios",
@@ -258,30 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="override every scenario's pinned simulated "
                            "duration")
-    perf.add_argument("--repeats", type=int, default=2, metavar="N",
-                      help="timing repetitions per path; the best wall "
-                           "clock counts (default: 2)")
     perf.add_argument("--output", default="BENCH_perf.json", metavar="PATH",
                       help="result file (default: BENCH_perf.json)")
-    perf.add_argument("--history", default=None, metavar="PATH",
-                      help="perf-history ledger to append to (default: "
-                           "BENCH_history.jsonl next to --output)")
-    perf.add_argument("--no-history", action="store_true",
-                      help="do not append this run to the history ledger")
-    perf.add_argument("--note", default="", metavar="TEXT",
-                      help="free-form note recorded in the history entry "
-                           "(e.g. the change being measured)")
-    perf.add_argument("--compare", nargs="?", const="", default=None,
-                      metavar="REF",
-                      help="report mode: compare the newest history entry "
-                           "against REF (an offset like '2' or a digest "
-                           "prefix; omitted: the previous entry) instead "
-                           "of running benchmarks; exits 1 on regressions "
-                           "beyond --threshold")
-    perf.add_argument("--threshold", type=float, default=None,
-                      metavar="FRACTION",
-                      help="relative throughput drop that counts as a "
-                           "regression for --compare (default: 0.25)")
     perf.add_argument("--json", action="store_true",
                       help="print the payload as JSON instead of a table")
 
@@ -655,7 +633,11 @@ def _cmd_sweep(parser, args) -> int:
         try:
             # Validate family + params once, up front; the per-seed
             # instances are expanded inside each job from the same spec.
-            GeneratorSpec(args.family, params, seed=1)
+            # Only overridden params can hold a bad value, so only then
+            # is the seed-1 instance generated here.
+            generator = GeneratorSpec(args.family, params, seed=1)
+            if params:
+                generator.instantiate()
             data = {"generator": {"family": args.family}}
             if params:
                 data["generator"]["params"] = params
@@ -805,87 +787,27 @@ def _cmd_batch(parser, args) -> int:
     return 1 if report.failures else 0
 
 
-def _default_history_path(args) -> str:
-    """The ledger next to ``--output`` (repo root by default)."""
-    import pathlib
-
-    from repro.perf import HISTORY_PATH
-
-    if args.history is not None:
-        return args.history
-    return str(pathlib.Path(args.output).parent / HISTORY_PATH)
-
-
-def _cmd_perf_compare(parser, args) -> int:
-    """``perf --compare``: report mode over the history ledger."""
-    from repro.perf import (
-        DEFAULT_THRESHOLD,
-        compare_entries,
-        format_compare,
-        load_history,
-        resolve_reference,
-    )
-
-    history_path = _default_history_path(args)
-    entries = load_history(history_path)
-    if not entries:
-        print(f"error: no history at {history_path}; run 'repro perf' "
-              f"first to record an entry", file=sys.stderr)
-        return 1
-    try:
-        current, reference = resolve_reference(
-            entries, args.compare or None
-        )
-        report = compare_entries(
-            current, reference,
-            threshold=(args.threshold if args.threshold is not None
-                       else DEFAULT_THRESHOLD),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _print_json_report(report)
-    else:
-        print(format_compare(report))
-    return 1 if report["regressions"] else 0
-
-
 def _cmd_perf(parser, args) -> int:
     from repro.perf import (
-        append_history,
         format_bench_report,
         run_benchmarks,
         scenario_by_name,
         write_bench_json,
     )
 
-    if args.threshold is not None and args.threshold < 0:
-        parser.error(f"--threshold must be >= 0, got {args.threshold}")
-    if args.compare is not None:
-        return _cmd_perf_compare(parser, args)
     scenarios = None
     if args.scenarios:
         try:
             scenarios = [scenario_by_name(name) for name in args.scenarios]
         except ValueError as exc:
             parser.error(str(exc))
-    if args.repeats < 1:
-        parser.error(f"--repeats must be >= 1, got {args.repeats}")
-    payload = run_benchmarks(scenarios, duration_s=args.duration,
-                             repeats=args.repeats)
+    payload = run_benchmarks(scenarios, duration_s=args.duration)
     path = write_bench_json(payload, args.output)
     if args.json:
         _print_json_report(payload)
     else:
         print(format_bench_report(payload))
     print(f"wrote {path}", file=sys.stderr)
-    if not args.no_history:
-        history_path = _default_history_path(args)
-        append_history(payload, history_path, note=args.note)
-        print(f"appended history entry to {history_path} "
-              f"(diff runs with: python -m repro perf --compare)",
-              file=sys.stderr)
     if not payload["all_summaries_identical"]:
         print("error: fast path diverged from the scalar reference",
               file=sys.stderr)

@@ -1,11 +1,12 @@
-"""Performance benchmarking of the tick loop.
+"""Fast-vs-scalar correctness harness and the ``BENCH_perf.json`` snapshot.
 
 The harness runs pinned reference scenarios twice — once through the
-batched fast path, once through the scalar reference path — reports
-ticks/sec and wall-clock for each, asserts that the two paths produce
-byte-identical ``scalar_summary()`` dicts, and writes the results to
-``BENCH_perf.json`` so successive PRs accumulate a performance
-trajectory.
+batched fast path, once through the scalar reference path — and
+asserts that the two paths produce byte-identical ``scalar_summary()``
+dicts.  It also runs the pinned fleet batch and re-checks a member
+subset against fresh scalar runs (``members_identical``).  Each path
+is timed once, and the payload is written to ``BENCH_perf.json`` as a
+one-shot snapshot.
 
     from repro.perf import run_benchmarks, write_bench_json
 
@@ -16,6 +17,10 @@ or, from the command line::
 
     python -m repro perf
     python -m repro perf --scenario mixed-16cpu --duration 60
+
+The performance record across commits is not kept here: a checkout's
+``tools/bench_ledger.py`` runs the repository benchmark (``perfbench/``)
+and appends its results to ``BENCH_history.jsonl``.
 """
 
 from repro.perf.harness import (
@@ -28,19 +33,6 @@ from repro.perf.harness import (
     strip_timings,
     write_bench_json,
 )
-from repro.perf.history import (
-    DEFAULT_THRESHOLD,
-    HISTORY_PATH,
-    HISTORY_SCHEMA,
-    append_history,
-    compare_entries,
-    format_compare,
-    history_entry,
-    load_history,
-    payload_digest,
-    profile_diff,
-    resolve_reference,
-)
 from repro.perf.scenarios import (
     FLEET_SCENARIO,
     FLEET_SEEDS,
@@ -52,22 +44,12 @@ from repro.perf.scenarios import (
 
 __all__ = [
     "BenchScenarioResult",
-    "DEFAULT_THRESHOLD",
     "FLEET_SCENARIO",
     "FLEET_SEEDS",
     "HEADLINE_SCENARIO",
-    "HISTORY_PATH",
-    "HISTORY_SCHEMA",
     "PinnedScenario",
     "REFERENCE_SCENARIOS",
-    "append_history",
-    "compare_entries",
     "format_bench_report",
-    "format_compare",
-    "history_entry",
-    "load_history",
-    "payload_digest",
-    "profile_diff",
     "profile_scenario",
     "run_benchmarks",
     "run_fleet_benchmark",

@@ -99,35 +99,12 @@ def _timed_run(
 def run_scenario(
     scenario: PinnedScenario,
     duration_s: float | None = None,
-    repeats: int = 2,
 ) -> BenchScenarioResult:
-    """Benchmark one scenario on both paths.
-
-    Each path runs ``repeats`` times and the best (minimum) wall clock
-    counts — repetition filters scheduler noise, and every repetition
-    of a pinned scenario produces the same summary, which is asserted.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    """Benchmark one scenario on both paths, timing each path once."""
     pinned = parse_scenario(scenario.scenario)
     duration = duration_s if duration_s is not None else pinned.duration_s
     fast_wall, fast_summary, ticks = _timed_run(scenario, duration, True)
     scalar_wall, scalar_summary, _ = _timed_run(scenario, duration, False)
-    for _ in range(repeats - 1):
-        wall, summary, _ = _timed_run(scenario, duration, True)
-        if _encode(summary) != _encode(fast_summary):
-            raise AssertionError(
-                f"scenario {scenario.name!r}: fast path is not "
-                "deterministic across repetitions"
-            )
-        fast_wall = min(fast_wall, wall)
-        wall, summary, _ = _timed_run(scenario, duration, False)
-        if _encode(summary) != _encode(scalar_summary):
-            raise AssertionError(
-                f"scenario {scenario.name!r}: scalar path is not "
-                "deterministic across repetitions"
-            )
-        scalar_wall = min(scalar_wall, wall)
     return BenchScenarioResult(
         name=scenario.name,
         description=scenario.description,
@@ -183,7 +160,6 @@ def profile_scenario(
 def run_fleet_benchmark(
     scenario: PinnedScenario | None = None,
     duration_s: float | None = None,
-    repeats: int = 2,
 ) -> dict:
     """Benchmark the fleet engine against the per-job fast path.
 
@@ -193,7 +169,8 @@ def run_fleet_benchmark(
     time through the scalar fast path exactly as a ``run_grid`` pool
     worker would.  The figure of merit is aggregate machine-ticks per
     wall-clock second — the rate at which a sweep burns down simulated
-    work per process.
+    work per process.  The per-job rate is that of the fastest checked
+    member.
 
     Correctness is asserted, not assumed: the first, middle, and last
     fleet members' ``scalar_summary()`` dicts must be byte-identical to
@@ -202,8 +179,6 @@ def run_fleet_benchmark(
     from repro.fleet import FleetEngine
     from repro.system import System
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     scenario = scenario if scenario is not None else FLEET_SCENARIO
     seeds = list(FLEET_SEEDS)
 
@@ -218,41 +193,28 @@ def run_fleet_benchmark(
         return System(parsed.config, parsed.workload, policy=parsed.policy)
 
     # -- fleet side: all machines on one engine -----------------------------
-    fleet_wall = None
-    results = None
-    for _ in range(repeats):
-        engine = FleetEngine([_build(seed) for seed in seeds])
-        start = time.perf_counter()
-        engine.run_for(duration)
-        wall = time.perf_counter() - start
-        fleet_wall = wall if fleet_wall is None else min(fleet_wall, wall)
-        results = engine.results(duration)
+    engine = FleetEngine([_build(seed) for seed in seeds])
+    start = time.perf_counter()
+    engine.run_for(duration)
+    fleet_wall = time.perf_counter() - start
+    results = engine.results(duration)
     ticks = int(round(duration * 1000.0)) // first.config.tick_ms
     machine_ticks = ticks * len(seeds)
 
     # -- per-job reference: one member per run, scalar fast path ------------
     check_idx = sorted({0, len(seeds) // 2, len(seeds) - 1})
-    per_job_wall = None
+    per_job_walls = []
     reference: dict[int, dict[str, float]] = {}
-    for rep in range(repeats):
-        for idx in check_idx:
-            parsed = member(seeds[idx])
-            start = time.perf_counter()
-            result = run_simulation(
-                parsed.config, parsed.workload, policy=parsed.policy,
-                duration_s=duration, fast_path=True,
-            )
-            wall = time.perf_counter() - start
-            if per_job_wall is None or wall < per_job_wall:
-                per_job_wall = wall
-            summary = result.scalar_summary()
-            if rep == 0:
-                reference[idx] = summary
-            elif _encode(summary) != _encode(reference[idx]):
-                raise AssertionError(
-                    f"fleet scenario {scenario.name!r}: per-job reference "
-                    f"seed {seeds[idx]} is not deterministic"
-                )
+    for idx in check_idx:
+        parsed = member(seeds[idx])
+        start = time.perf_counter()
+        result = run_simulation(
+            parsed.config, parsed.workload, policy=parsed.policy,
+            duration_s=duration, fast_path=True,
+        )
+        per_job_walls.append(time.perf_counter() - start)
+        reference[idx] = result.scalar_summary()
+    per_job_wall = min(per_job_walls)
 
     members_identical = all(
         _encode(results[idx].scalar_summary()) == _encode(reference[idx])
@@ -287,7 +249,6 @@ def run_fleet_benchmark(
 def run_benchmarks(
     scenarios: Iterable[PinnedScenario] | None = None,
     duration_s: float | None = None,
-    repeats: int = 2,
 ) -> dict:
     """Run the benchmark set; return the ``BENCH_perf.json`` payload.
 
@@ -299,7 +260,7 @@ def run_benchmarks(
     )
     if not chosen:
         raise ValueError("no scenarios to benchmark")
-    results = [run_scenario(s, duration_s, repeats=repeats) for s in chosen]
+    results = [run_scenario(s, duration_s) for s in chosen]
     headline = next(
         (r for r in results if r.name == HEADLINE_SCENARIO), results[0]
     )
@@ -310,7 +271,7 @@ def run_benchmarks(
         "schema": SCHEMA,
         "all_summaries_identical": all(r.summary_identical for r in results),
         "self_profile": profile_scenario(headline_scenario, duration_s),
-        "fleet": run_fleet_benchmark(duration_s=duration_s, repeats=repeats),
+        "fleet": run_fleet_benchmark(duration_s=duration_s),
         "headline": {
             "name": headline.name,
             "timing": {

@@ -276,6 +276,20 @@ class TestScenariosCli:
             main(["sweep", "--family-params", "{}", "--no-cache"])
         assert "--family" in capsys.readouterr().err
 
+    def test_sweep_family_bad_param_value_rejected_up_front(
+            self, monkeypatch, capsys):
+        import repro.runner
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a sweep job ran")
+
+        monkeypatch.setattr(repro.runner, "run_grid", no_jobs)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "poisson", "--family-params",
+                  '{"horizon_s": -1}', "--seeds", "1..3", "--no-cache"])
+        assert exc.value.code == 2
+        assert "horizon_s" in capsys.readouterr().err
+
     def test_sweep_family_unknown_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--family", "zipf", "--no-cache"])

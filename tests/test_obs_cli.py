@@ -78,7 +78,7 @@ class TestParser:
 class TestEnvelopeOnAllSubcommands:
     def test_perf_json(self, tmp_path, capsys):
         code = main(["perf", "--scenario", FAST_SCENARIO,
-                     "--duration", "1", "--repeats", "1",
+                     "--duration", "1",
                      "--output", str(tmp_path / "bench.json"), "--json"])
         assert code == 0
         payload = _envelope(capsys)

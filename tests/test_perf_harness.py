@@ -22,7 +22,6 @@ from repro.perf import (
     HEADLINE_SCENARIO,
     REFERENCE_SCENARIOS,
     run_benchmarks,
-    run_scenario,
     scenario_by_name,
     strip_timings,
 )
@@ -93,7 +92,7 @@ class TestBenchPayloadDeterminism:
     def payloads(self):
         scenario = scenario_by_name(HEADLINE_SCENARIO)
         return [
-            run_benchmarks([scenario], duration_s=2.0, repeats=1)
+            run_benchmarks([scenario], duration_s=2.0)
             for _ in range(2)
         ]
 
@@ -182,9 +181,31 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match=HEADLINE_SCENARIO):
             scenario_by_name("no-such-scenario")
 
-    def test_run_scenario_rejects_bad_repeats(self):
-        with pytest.raises(ValueError, match="repeats"):
-            run_scenario(scenario_by_name(HEADLINE_SCENARIO), repeats=0)
+
+class TestPerfCliVerdicts:
+    """``repro perf`` exits 1 with one error line on a false verdict."""
+
+    @pytest.mark.parametrize("scenarios_ok,fleet_ok,message", [
+        (False, True, "fast path diverged"),
+        (True, False, "fleet members diverged"),
+    ], ids=["scenarios", "fleet"])
+    def test_false_verdict_fails(self, scenarios_ok, fleet_ok, message,
+                                 tmp_path, monkeypatch, capsys):
+        import repro.perf
+        from repro.cli import main
+
+        payload = {"schema": "repro-perf/3",
+                   "all_summaries_identical": scenarios_ok,
+                   "fleet": {"members_identical": fleet_ok}}
+        monkeypatch.setattr(repro.perf, "run_benchmarks",
+                            lambda scenarios, duration_s: payload)
+        code = main(["perf", "--json",
+                     "--output", str(tmp_path / "bench.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message} from the scalar reference" \
+            in err.splitlines()
+        assert json.loads((tmp_path / "bench.json").read_text()) == payload
 
 
 class TestCounterDefaults:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check the docs against the code and the committed benchmark numbers.
 
-Two classes of drift have bitten this repo before, and both are now
-build failures instead of review comments:
+Six classes of drift have bitten this repo or would, and each is a
+build failure instead of a review comment:
 
 1. **Stale performance claims.** Every headline number the docs cite
    (ticks/s, speedups, the real-time factor) must match the committed
@@ -11,22 +11,29 @@ build failures instead of review comments:
    which is two orders of magnitude larger), speedups to one decimal.
    Regenerate the docs' numbers after ``python -m repro perf``.
 
-2. **Undocumented subsystems.** Every subpackage of ``src/repro/``
+2. **A stale ledger baseline.** The "Ledger baseline" table of
+   ``docs/performance.md`` must cite the revision of the newest
+   ``repro-history/2`` entry of ``BENCH_history.jsonl`` and, per
+   workload, its medians of the four throughput and wall-time metrics,
+   rounded as ``tools/bench_ledger.py`` prints them.  Update the table
+   after ``python3 tools/bench_ledger.py record``.
+
+3. **Undocumented subsystems.** Every subpackage of ``src/repro/``
    must be mentioned by name (``repro.<pkg>``) in
    ``docs/architecture.md`` — the architecture doc is the map, and a
    subsystem missing from the map is invisible to new readers.
 
-3. **Stale tournament leaderboards.** The policy table in
+4. **Stale tournament leaderboards.** The policy table in
    ``docs/policies.md`` (rank, mean energy to one decimal kJ, jobs/min
    to two decimals, throttle %, frequency scale, wins) must match the
    committed ``BENCH_policies.json``. Regenerate the table after
    ``python -m repro tournament``.
 
-4. **Stale scenario-family catalogs.** Every family registered in
+5. **Stale scenario-family catalogs.** Every family registered in
    ``repro.scenarios`` must appear in ``docs/scenarios.md``'s family
    table, with its fleet-eligibility documented consistently.
 
-5. **Undocumented run events.** Every event kind the telemetry bus
+6. **Undocumented run events.** Every event kind the telemetry bus
    can carry (``repro.obs.events.EVENT_KINDS``) must appear in the
    kind catalog of ``docs/live_telemetry.md``, and the doc must not
    list kinds the bus no longer knows.
@@ -44,6 +51,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "BENCH_perf.json"
 BENCH_POLICIES = REPO / "BENCH_policies.json"
+LEDGER_METRICS = ("machine_ticks_per_s", "cold_jobs_per_s",
+                  "warm_jobs_per_s", "wall_s")
 PERF_DOC = REPO / "docs" / "performance.md"
 ARCH_DOC = REPO / "docs" / "architecture.md"
 POLICIES_DOC = REPO / "docs" / "policies.md"
@@ -108,6 +117,35 @@ def check_perf_numbers() -> None:
             r"~\d+x real time \(~([\d,]+) ticks/s\)",
             "architecture ticks/s",
             _fmt(headline["fast_ticks_per_s"], 100))
+
+
+def check_ledger_numbers() -> None:
+    import bench_ledger  # beside this file
+
+    entries = bench_ledger.load_entries(bench_ledger.LEDGER)
+    if not entries:
+        errors.append(f"{bench_ledger.LEDGER.name}: no "
+                      f"{bench_ledger.SCHEMA} entry to cite")
+        return
+    entry = entries[-1]
+    text = PERF_DOC.read_text()
+    heading = "### Ledger baseline"
+    if heading not in text:
+        errors.append(f"{PERF_DOC.name}: no {heading!r} section")
+        return
+    section = text[text.index(heading):]
+    cited = re.search(r"rev `([0-9a-f]{7,40})`", section)
+    if cited is None or not entry["rev"].startswith(cited.group(1)):
+        errors.append(f"{PERF_DOC.name}: the ledger baseline must cite rev "
+                      f"`{entry['rev'][:7]}`, the newest ledger entry's")
+    for workload in bench_ledger.load_benchmark()["workloads"]:
+        cells = [bench_ledger.fmt(bench_ledger.median(
+            entry, workload["name"], metric)) for metric in LEDGER_METRICS]
+        row = f"| {workload['name']} | {' | '.join(cells)} |"
+        if row not in section:
+            errors.append(f"{PERF_DOC.name}: ledger baseline row for "
+                          f"{workload['name']!r} missing or stale — expected "
+                          f"{row!r}")
 
 
 def check_policy_numbers() -> None:
@@ -208,6 +246,7 @@ def check_event_kinds() -> None:
 
 def main() -> int:
     check_perf_numbers()
+    check_ledger_numbers()
     check_policy_numbers()
     check_subpackage_coverage()
     check_scenario_families()
@@ -217,8 +256,8 @@ def main() -> int:
             print(f"error: {err}", file=sys.stderr)
         return 1
     print("docs are consistent with BENCH_perf.json, "
-          "BENCH_policies.json, repro.scenarios, repro.obs.events, "
-          "and src/repro/")
+          "BENCH_history.jsonl, BENCH_policies.json, repro.scenarios, "
+          "repro.obs.events, and src/repro/")
     return 0
 
 

@@ -1,17 +1,22 @@
 """Shared helpers for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper: it runs the
-experiment once (via ``benchmark.pedantic(..., rounds=1)``, so
-pytest-benchmark reports the experiment's wall time), prints the
-paper-style rows/series to the live terminal, and writes them to
-``benchmarks/results/<name>.txt`` for the record.  Shape assertions —
-who wins, by roughly what factor, where crossovers fall — run against
-the measured numbers.
+experiment once, prints the paper-style rows/series to the live
+terminal, and writes them to ``benchmarks/results/<name>.txt`` for the
+record.  Shape assertions — who wins, by roughly what factor, where
+crossovers fall — run against the measured numbers.
+
+The §6/§7 experiments are defined in ``repro.experiments``; their
+benchmarks run the registry's metrics at the committed duration and
+seed and record its report, so ``python -m repro run NAME`` prints
+``results/NAME.txt`` byte for byte.
 """
 
 from __future__ import annotations
 
 import pathlib
+
+from repro.experiments import REGISTRY
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -25,6 +30,7 @@ def emit(capsys, name: str, text: str) -> None:
         print(text)
 
 
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def emit_report(capsys, metrics: dict) -> None:
+    """Persist a registry experiment's report under its registry name."""
+    name = metrics["experiment"]
+    emit(capsys, name, REGISTRY[name].render(metrics))

@@ -15,14 +15,13 @@ point."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.analysis.stats import curve_band
 from repro.api import run_simulation
-from repro.config import SystemConfig
 from repro.core.energy_balance import EnergyBalanceConfig
 from repro.core.policy import EnergyAwareConfig
-from repro.cpu.topology import MachineSpec
+from repro.experiments import fig6_config
 from repro.workloads.generator import mixed_table2_workload
 
 DURATION_S = 600.0
@@ -34,24 +33,17 @@ VARIANTS = {
 }
 
 
-def test_ablation_balancer_metrics(benchmark, capsys):
-    def experiment():
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=False),
-            max_power_per_cpu_w=60.0,
-            seed=7,
+def test_ablation_balancer_metrics(capsys):
+    config = fig6_config(smt=False, seed=7)
+    wl = mixed_table2_workload(3)
+    runs = {
+        name: run_simulation(
+            config, wl, policy="energy",
+            policy_config=EnergyAwareConfig(balance=balance),
+            duration_s=DURATION_S,
         )
-        wl = mixed_table2_workload(3)
-        out = {}
-        for name, balance in VARIANTS.items():
-            policy_config = EnergyAwareConfig(balance=balance)
-            out[name] = run_simulation(
-                config, wl, policy="energy", policy_config=policy_config,
-                duration_s=DURATION_S,
-            )
-        return out
-
-    runs = run_once(benchmark, experiment)
+        for name, balance in VARIANTS.items()
+    }
 
     rows = []
     for name, result in runs.items():

@@ -10,49 +10,29 @@ gain should come from placement."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
-from repro.analysis.stats import throughput_gain
-from repro.api import run_simulation
-from repro.config import SystemConfig
+from repro.api import PolicyComparison, run_simulation
 from repro.core.policy import EnergyAwareConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.throttle import ThrottleConfig
-from repro.cpu.topology import MachineSpec
+from repro.experiments import table3_config
 from repro.workloads.generator import short_task_storm
 
-PACKAGE_R = [0.36, 0.17, 0.16, 0.33, 0.31, 0.15, 0.14, 0.13]
 DURATION_S = 300.0
 
 
-def test_ablation_initial_placement(benchmark, capsys):
-    def experiment():
-        thermal = tuple(
-            ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in PACKAGE_R
-        )
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=True),
-            thermal=thermal,
-            temp_limit_c=38.0,
-            throttle=ThrottleConfig(enabled=True),
-            seed=12,
-        )
-        wl = short_task_storm(total_slots=12, job_s=0.5)
-        base = run_simulation(config, wl, policy="baseline",
-                              duration_s=DURATION_S)
-        full = run_simulation(config, wl, policy="energy",
-                              duration_s=DURATION_S)
-        no_placement = run_simulation(
-            config, wl, policy="energy",
-            policy_config=EnergyAwareConfig(enable_placement=False),
-            duration_s=DURATION_S,
-        )
-        return base, full, no_placement
+def test_ablation_initial_placement(capsys):
+    config = table3_config(seed=12)
+    wl = short_task_storm(total_slots=12, job_s=0.5)
+    base = run_simulation(config, wl, policy="baseline", duration_s=DURATION_S)
+    full = run_simulation(config, wl, policy="energy", duration_s=DURATION_S)
+    no_placement = run_simulation(
+        config, wl, policy="energy",
+        policy_config=EnergyAwareConfig(enable_placement=False),
+        duration_s=DURATION_S,
+    )
 
-    base, full, no_placement = run_once(benchmark, experiment)
-
-    full_gain = throughput_gain(base, full)
-    reduced_gain = throughput_gain(base, no_placement)
+    full_gain = PolicyComparison(base, full).throughput_gain
+    reduced_gain = PolicyComparison(base, no_placement).throughput_gain
     table = format_table(
         ["policy variant", "jobs finished", "gain vs baseline"],
         [

@@ -18,41 +18,29 @@ hardware it did not have."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.throttle import ThrottleConfig
-from repro.cpu.topology import MachineSpec
+from repro.experiments import hot_task_config
 from repro.workloads.generator import single_program_workload
 
 DURATION_S = 300.0
 
 
 def run_variant(mode: str, policy: str):
-    config = SystemConfig(
-        machine=MachineSpec.ibm_x445(smt=True),
-        max_power_per_cpu_w=20.0,
-        thermal=ThermalParams(r_k_per_w=0.30, c_j_per_k=50.0),
-        throttle=ThrottleConfig(enabled=True, scope="package", mode=mode),
-        seed=5,
-    )
     return run_simulation(
-        config, single_program_workload("bitcnts", 1),
+        hot_task_config(seed=5, throttle_mode=mode),
+        single_program_workload("bitcnts", 1),
         policy=policy, duration_s=DURATION_S,
     )
 
 
-def test_comparator_migration_vs_dvfs_vs_hlt(benchmark, capsys):
-    def experiment():
-        return {
-            "hlt throttling": run_variant("hlt", "baseline"),
-            "DVFS throttling": run_variant("dvfs", "baseline"),
-            "hot-task migration": run_variant("hlt", "energy"),
-        }
-
-    runs = run_once(benchmark, experiment)
+def test_comparator_migration_vs_dvfs_vs_hlt(capsys):
+    runs = {
+        "hlt throttling": run_variant("hlt", "baseline"),
+        "DVFS throttling": run_variant("dvfs", "baseline"),
+        "hot-task migration": run_variant("hlt", "energy"),
+    }
 
     hlt_jobs = runs["hlt throttling"].fractional_jobs()
     rows = []

@@ -10,30 +10,22 @@ settings."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.topology import MachineSpec
+from repro.experiments import fig6_config
 from repro.workloads.generator import mixed_table2_workload
 
 DURATION_S = 300.0
 
 
-def test_estimation_accuracy(benchmark, capsys):
-    def experiment():
-        out = {}
-        for smt in (False, True):
-            config = SystemConfig(
-                machine=MachineSpec.ibm_x445(smt=smt),
-                max_power_per_cpu_w=60.0 if not smt else 30.0,
-                seed=21,
-            )
-            wl = mixed_table2_workload(6 if smt else 3)
-            out[smt] = run_simulation(config, wl, duration_s=DURATION_S)
-        return out
-
-    runs = run_once(benchmark, experiment)
+def test_estimation_accuracy(capsys):
+    runs = {
+        smt: run_simulation(fig6_config(smt=smt, seed=21),
+                            mixed_table2_workload(6 if smt else 3),
+                            duration_s=DURATION_S)
+        for smt in (False, True)
+    }
 
     rows = []
     for smt, result in runs.items():

@@ -18,66 +18,30 @@ throttling at 56 degC, and compare three balancers:
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import format_table
-from repro.hotspot.experiment import (
-    HotspotExperimentConfig,
-    run_hotspot_experiment,
-)
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 from repro.hotspot.units import FunctionalUnit
 
 
-def test_extension_unit_aware_scheduling(benchmark, capsys):
-    def experiment():
-        config = HotspotExperimentConfig(duration_s=180.0)
-        hetero = {
-            policy: run_hotspot_experiment(config, policy)
-            for policy in ("none", "total", "unit")
-        }
-        homog = {
-            policy: run_hotspot_experiment(
-                HotspotExperimentConfig(tasks="iiii", duration_s=180.0), policy
-            )
-            for policy in ("total", "unit")
-        }
-        return hetero, homog
-
-    hetero, homog = run_once(benchmark, experiment)
-
-    rows = []
-    for policy, result in hetero.items():
-        rows.append(
-            [policy, result.swaps, f"{result.throttle_fraction * 100:.1f}%",
-             f"{result.max_unit_temp_c:.1f} C",
-             f"{result.throughput_vs(hetero['none']) * 100:+.1f}%"]
-        )
-    table = format_table(
-        ["balancer", "swaps", "unit throttling", "max unit temp",
-         "throughput vs none"],
-        rows,
-        title=("Extension (§7): 2x intfire + 2x fpfire, all 50 W, "
-               "unit limit 56 degC"),
-    )
-    table += (
-        "\n\nhomogeneous control (4x intfire): unit-aware gains "
-        f"{homog['unit'].throughput_vs(homog['total']) * 100:+.2f}% "
-        "(nothing to balance)"
-    )
-    emit(capsys, "extension_hotspot", table)
+def test_extension_unit_aware_scheduling(capsys):
+    metrics = experiment_metrics("hotspot")
+    emit_report(capsys, metrics)
+    stacked = {r["policy"]: r for r in metrics["rows"]}
+    s = metrics["scalars"]
 
     # Shape assertions.
-    assert hetero["total"].swaps == 0, "scalar profiles cannot see the imbalance"
-    assert hetero["total"].throttle_fraction == hetero["none"].throttle_fraction
-    assert hetero["none"].throttle_fraction > 0.05
-    assert hetero["unit"].throttle_fraction == 0.0
-    assert hetero["unit"].throughput_vs(hetero["total"]) > 0.10
+    assert stacked["total"]["swaps"] == 0, "scalar profiles cannot see the imbalance"
+    assert stacked["total"]["throttle_fraction"] == stacked["none"]["throttle_fraction"]
+    assert stacked["none"]["throttle_fraction"] > 0.05
+    assert stacked["unit"]["throttle_fraction"] == 0.0
+    assert s["unit_vs_total"] > 0.10
     # The stacked runs overheat a *unit* even though package power is
     # identical across CPUs.
-    assert hetero["none"].max_unit_temp_c > 56.0
-    assert hetero["unit"].max_unit_temp_c < 56.0
+    assert stacked["none"]["max_unit_temp_c"] > 56.0
+    assert stacked["unit"]["max_unit_temp_c"] < 56.0
     # Homogeneous corner case: no benefit.
-    assert abs(homog["unit"].throughput_vs(homog["total"])) < 0.01
+    assert abs(s["control_unit_vs_total"]) < 0.01
     # Sanity: the hot units in the stacked run are INT_ALU and FPU.
-    assert set(hetero["none"].hottest_unit_by_cpu) == {
-        FunctionalUnit.INT_ALU, FunctionalUnit.FPU,
+    assert set(stacked["none"]["hottest_units"]) == {
+        FunctionalUnit.INT_ALU.name, FunctionalUnit.FPU.name,
     }

@@ -8,68 +8,23 @@ halted P4 still draws 13.6 W).  Energy-aware scheduling vs disabled:
 * gains shrink as tasks multiply (targets are busy/warm more often);
 * n = 8: all packages stay hot, no suitable destination exists, gain ~0.
 * At a 50 W budget the single-task gain is +27 %.
+
+Setup: ``repro.experiments.hot_task_config`` with package-scope hlt
+throttling.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import ascii_chart, format_table
-from repro.analysis.stats import throughput_gain
-from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.throttle import ThrottleConfig
-from repro.cpu.topology import MachineSpec
-from repro.workloads.generator import single_program_workload
-
-import numpy as np
-
-TASK_COUNTS = (1, 2, 3, 4, 6, 8)
-DURATION_S = 300.0
-PAPER = {1: 76, 2: 76, 8: 0}
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 
 
-def run_gain(n_tasks: int, limit_per_logical_w: float, seed: int = 5) -> float:
-    config = SystemConfig(
-        machine=MachineSpec.ibm_x445(smt=True),
-        max_power_per_cpu_w=limit_per_logical_w,
-        thermal=ThermalParams(r_k_per_w=0.30, c_j_per_k=50.0),
-        throttle=ThrottleConfig(enabled=True, scope="package"),
-        seed=seed,
-    )
-    workload = single_program_workload("bitcnts", n_tasks)
-    base = run_simulation(config, workload, policy="baseline",
-                          duration_s=DURATION_S)
-    energy = run_simulation(config, workload, policy="energy",
-                            duration_s=DURATION_S)
-    return throughput_gain(base, energy)
-
-
-def test_fig10_throughput_vs_task_count(benchmark, capsys):
-    def experiment():
-        gains = {n: run_gain(n, 20.0) for n in TASK_COUNTS}
-        gains["1 @ 50W"] = run_gain(1, 25.0)
-        return gains
-
-    gains = run_once(benchmark, experiment)
-
-    rows = [
-        [n, f"{gains[n] * 100:+.1f}%", f"+{PAPER[n]}%" if n in PAPER else "-"]
-        for n in TASK_COUNTS
-    ]
-    rows.append(["1 task @ 50 W", f"{gains['1 @ 50W'] * 100:+.1f}%", "+27%"])
-    table = format_table(
-        ["tasks", "throughput increase (ours)", "paper"],
-        rows,
-        title="Figure 10: hot task migration, 40 W package limit",
-    )
-    chart = ascii_chart(
-        [("gain [%]", np.array([gains[n] * 100 for n in TASK_COUNTS]))],
-        height=10,
-        title="Figure 10 shape: high plateau at 1-2 tasks, ~0 at 8",
-        y_label="1 ... 8 tasks",
-    )
-    emit(capsys, "fig10_multi_task", table + "\n\n" + chart)
+def test_fig10_throughput_vs_task_count(capsys):
+    metrics = experiment_metrics("fig10")
+    emit_report(capsys, metrics)
+    rows = metrics["rows"]
+    gains = {r["tasks"]: r["throughput_gain"] for r in rows if r["package_w"] == 40.0}
+    gain_50w = next(r["throughput_gain"] for r in rows if r["package_w"] == 50.0)
 
     # Shape assertions.
     assert gains[1] > 0.5, "single-task gain should be dramatic (paper 76 %)"
@@ -79,4 +34,4 @@ def test_fig10_throughput_vs_task_count(benchmark, capsys):
     assert gains[2] >= gains[4] >= gains[8] - 0.02
     assert gains[4] > gains[6] - 0.02
     # The 50 W budget shrinks the gain to roughly a third (paper 76->27).
-    assert 0.1 < gains["1 @ 50W"] < gains[1] * 0.6
+    assert 0.1 < gain_50w < gains[1] * 0.6

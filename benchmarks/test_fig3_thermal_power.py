@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import ascii_chart
 from repro.core.ewma import ThermalEwma
 from repro.cpu.thermal import ThermalParams, ThermalRC
@@ -23,24 +23,20 @@ STEP_START_S, STEP_END_S, TOTAL_S = 30.0, 150.0, 300.0
 P_LOW, P_HIGH = 20.0, 60.0
 
 
-def test_fig3_temperature_power_thermal_power(benchmark, capsys):
-    def experiment():
-        params = ThermalParams(r_k_per_w=0.30, c_j_per_k=66.7, ambient_c=25.0)
-        rc = ThermalRC(params, initial_c=params.steady_state_c(P_LOW))
-        ewma = ThermalEwma(tau_s=params.tau_s, initial_w=P_LOW)
-        n = int(TOTAL_S / DT)
-        times = np.arange(n) * DT
-        power = np.where(
-            (times >= STEP_START_S) & (times < STEP_END_S), P_HIGH, P_LOW
-        )
-        temp = np.empty(n)
-        thermal = np.empty(n)
-        for i in range(n):
-            temp[i] = rc.step(power[i], DT)
-            thermal[i] = ewma.update(power[i], DT)
-        return times, power, temp, thermal
-
-    times, power, temp, thermal = run_once(benchmark, experiment)
+def test_fig3_temperature_power_thermal_power(capsys):
+    params = ThermalParams(r_k_per_w=0.30, c_j_per_k=66.7, ambient_c=25.0)
+    rc = ThermalRC(params, initial_c=params.steady_state_c(P_LOW))
+    ewma = ThermalEwma(tau_s=params.tau_s, initial_w=P_LOW)
+    n = int(TOTAL_S / DT)
+    times = np.arange(n) * DT
+    power = np.where(
+        (times >= STEP_START_S) & (times < STEP_END_S), P_HIGH, P_LOW
+    )
+    temp = np.empty(n)
+    thermal = np.empty(n)
+    for i in range(n):
+        temp[i] = rc.step(power[i], DT)
+        thermal[i] = ewma.update(power[i], DT)
 
     chart = ascii_chart(
         [

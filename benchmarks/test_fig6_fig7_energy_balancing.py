@@ -9,89 +9,31 @@ Paper:
   9.8 -> 87 (SMT on, 36 tasks) — roughly an order of magnitude more,
   still negligible overhead.
 
-Setup: maximum power 60 W for all CPUs; each of the six Table 2
-programs started three times (six with SMT); no throttling."""
+Setup (``repro.experiments.fig6_config``): maximum power 60 W for all
+CPUs; each of the six Table 2 programs started three times (six with
+SMT); no throttling."""
 
 from __future__ import annotations
 
-import numpy as np
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import ascii_chart, format_table
-from repro.analysis.stats import curve_band
-from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.topology import MachineSpec
-from repro.workloads.generator import mixed_table2_workload
-
-DURATION_S = 900.0  # the paper's 15 minutes
 LIMIT_LINE_W = 50.0
 
 
-def run_pair(smt: bool, seed: int = 7):
-    config = SystemConfig(
-        machine=MachineSpec.ibm_x445(smt=smt),
-        max_power_per_cpu_w=60.0 if not smt else 30.0,
-        seed=seed,
-    )
-    workload = mixed_table2_workload(6 if smt else 3)
-    return {
-        policy: run_simulation(config, workload, policy=policy,
-                               duration_s=DURATION_S)
-        for policy in ("baseline", "energy")
-    }
-
-
-def test_fig6_fig7_energy_balancing_smp(benchmark, capsys):
-    runs = run_once(benchmark, lambda: run_pair(smt=False))
-
-    lines = []
-    for policy, fig in (("baseline", "Figure 6"), ("energy", "Figure 7")):
-        result = runs[policy]
-        band = curve_band(result, skip_s=100.0)
-        series = [
-            (s.name.removeprefix("thermal_power."), s.values)
-            for s in result.all_thermal_power_series()
-        ]
-        lines.append(
-            ascii_chart(
-                series,
-                height=12,
-                title=(
-                    f"{fig}: thermal power of the 8 CPUs, energy balancing "
-                    f"{'disabled' if policy == 'baseline' else 'enabled'} "
-                    f"(band mean {band['mean_width_w']:.1f} W, "
-                    f"peak {band['peak_thermal_power_w']:.1f} W)"
-                ),
-                y_label="time ->",
-            )
-        )
-    base_band = curve_band(runs["baseline"], skip_s=100.0)
-    energy_band = curve_band(runs["energy"], skip_s=100.0)
-    lines.append(
-        format_table(
-            ["metric", "balancing off", "balancing on", "paper off", "paper on"],
-            [
-                ["migrations / 15 min", runs["baseline"].migrations(),
-                 runs["energy"].migrations(), 3.3, 32],
-                ["mean band width [W]", f"{base_band['mean_width_w']:.1f}",
-                 f"{energy_band['mean_width_w']:.1f}", "(wide)", "(narrow)"],
-                ["peak thermal power [W]", f"{base_band['peak_thermal_power_w']:.1f}",
-                 f"{energy_band['peak_thermal_power_w']:.1f}", "> 50", "<= ~50"],
-            ],
-            title="Figures 6/7 summary (SMT disabled, 18 tasks)",
-        )
-    )
-    emit(capsys, "fig6_fig7_energy_balancing", "\n\n".join(lines))
+def test_fig6_fig7_energy_balancing_smp(capsys):
+    metrics = experiment_metrics("fig6-7")
+    emit_report(capsys, metrics)
+    s = metrics["scalars"]
 
     # Shape assertions.
-    assert base_band["peak_thermal_power_w"] > LIMIT_LINE_W + 2.0
-    assert energy_band["mean_width_w"] < base_band["mean_width_w"] / 3
-    assert energy_band["peak_thermal_power_w"] < base_band["peak_thermal_power_w"]
-    assert energy_band["peak_thermal_power_w"] < LIMIT_LINE_W + 4.0
+    assert s["peak_power_disabled_w"] > LIMIT_LINE_W + 2.0
+    assert s["band_width_enabled_w"] < s["band_width_disabled_w"] / 3
+    assert s["peak_power_enabled_w"] < s["peak_power_disabled_w"]
+    assert s["peak_power_enabled_w"] < LIMIT_LINE_W + 4.0
     # Migration counts: few without balancing, tens with, ratio >= ~5x.
-    base_migs = runs["baseline"].migrations()
-    energy_migs = runs["energy"].migrations()
+    base_migs = s["migrations_disabled"]
+    energy_migs = s["migrations_enabled"]
     assert base_migs < 15
     assert 20 <= energy_migs <= 150
     assert energy_migs >= 5 * max(base_migs, 1)
@@ -99,25 +41,15 @@ def test_fig6_fig7_energy_balancing_smp(benchmark, capsys):
     assert energy_migs / 18 < 6
 
 
-def test_fig7_smt_variant(benchmark, capsys):
-    runs = run_once(benchmark, lambda: run_pair(smt=True, seed=8))
+def test_fig7_smt_variant(capsys):
+    metrics = experiment_metrics("fig7-smt")
+    emit_report(capsys, metrics)
+    s = metrics["scalars"]
 
-    base_migs = runs["baseline"].migrations()
-    energy_migs = runs["energy"].migrations()
-    table = format_table(
-        ["policy", "migrations (ours)", "migrations (paper)"],
-        [
-            ["balancing disabled", base_migs, 9.8],
-            ["balancing enabled", energy_migs, 87],
-        ],
-        title="Figures 6/7, SMT enabled (16 logical CPUs, 36 tasks)",
-    )
-    emit(capsys, "fig7_smt_migrations", table)
-
+    base_migs = s["migrations_disabled"]
+    energy_migs = s["migrations_enabled"]
     assert base_migs < 40
     assert energy_migs > 2 * max(base_migs, 1)
     assert energy_migs <= 400
     # Energy balancing still keeps the band tight under SMT.
-    band = curve_band(runs["energy"], skip_s=100.0)
-    base_band = curve_band(runs["baseline"], skip_s=100.0)
-    assert band["mean_width_w"] < base_band["mean_width_w"]
+    assert s["band_width_enabled_w"] < s["band_width_disabled_w"]

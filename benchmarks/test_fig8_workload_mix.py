@@ -9,68 +9,25 @@ benefit from medium tasks — and vanish for the homogeneous workload.
 
 Shape targets: gain(8/2/8) is the maximum; gain declines towards the
 homogeneous end; gain(0/18/0) ~ 0; heterogeneous gains are several
-percent."""
+percent.
+
+Setup: ``repro.experiments.fig8_config`` — heterogeneous cooling with
+poor, medium and good packages, so medium-power tasks have a natural
+home."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import ascii_chart, format_table
-from repro.analysis.stats import throughput_gain
-from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.throttle import ThrottleConfig
-from repro.cpu.topology import MachineSpec
-from repro.workloads.generator import homogeneity_sweep
-
 import numpy as np
 
-# Heterogeneous cooling with poor (0.32/0.30/0.28), medium (0.25) and
-# good (<0.21) packages, so medium-power tasks have a natural home.
-PACKAGE_R = [0.32, 0.21, 0.20, 0.30, 0.28, 0.19, 0.25, 0.18]
-PAPER_PEAK_SCENARIO = "8/2/8"
-DURATION_S = 300.0
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 
 
-def test_fig8_throughput_vs_homogeneity(benchmark, capsys):
-    def experiment():
-        thermal = tuple(
-            ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in PACKAGE_R
-        )
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=False),
-            thermal=thermal,
-            temp_limit_c=38.0,
-            throttle=ThrottleConfig(enabled=True),
-            seed=13,
-        )
-        gains = {}
-        for workload in homogeneity_sweep(18):
-            base = run_simulation(
-                config, workload, policy="baseline", duration_s=DURATION_S
-            )
-            energy = run_simulation(
-                config, workload, policy="energy", duration_s=DURATION_S
-            )
-            gains[workload.name] = throughput_gain(base, energy)
-        return gains
-
-    gains = run_once(benchmark, experiment)
-
-    names = list(gains)
-    values = np.array([gains[n] * 100 for n in names])
-    rows = [[n, f"{gains[n] * 100:+.1f}%"] for n in names]
-    table = format_table(
-        ["scenario (#memrw/#pushpop/#bitcnts)", "throughput increase"],
-        rows,
-        title="Figure 8: dependence of throughput on the workload",
-    )
-    chart = ascii_chart(
-        [("gain [%]", values)], height=10,
-        title="Figure 8 (paper peak: 12.3% at 8/2/8; ~0% at 0/18/0)",
-        y_label="9/0/9  ->  0/18/0",
-    )
-    emit(capsys, "fig8_workload_mix", table + "\n\n" + chart)
+def test_fig8_throughput_vs_homogeneity(capsys):
+    metrics = experiment_metrics("fig8")
+    emit_report(capsys, metrics)
+    gains = {r["mix"]: r["throughput_gain"] for r in metrics["rows"]}
+    values = np.array([g * 100 for g in gains.values()])
 
     # Shape assertions.
     heterogeneous = [gains["9/0/9"], gains["8/2/8"], gains["7/4/7"]]

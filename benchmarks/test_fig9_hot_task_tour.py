@@ -7,69 +7,37 @@ thermal sum crosses the limit and the task is migrated:
 * never to an SMT sibling on the same package;
 * never across the NUMA node boundary — the task tours the packages of
   node 0 "nearly in round robin fashion", because after one full turn
-  the first package has cooled down enough."""
+  the first package has cooled down enough.
+
+Setup: ``repro.experiments.hot_task_config`` without throttling; the
+thermal time constant is 15 s."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import format_table
-from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.topology import MachineSpec
-from repro.workloads.generator import single_program_workload
-
-DURATION_S = 220.0
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 
 
 def node_of(cpu: int) -> int:
     return 0 if cpu % 8 < 4 else 1
 
 
-def test_fig9_hot_task_tour(benchmark, capsys):
-    def experiment():
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=True),
-            max_power_per_cpu_w=20.0,  # 40 W per package
-            thermal=ThermalParams(r_k_per_w=0.30, c_j_per_k=50.0),  # tau 15 s
-            seed=3,
-        )
-        return run_simulation(
-            config, single_program_workload("bitcnts", 1),
-            policy="energy", duration_s=DURATION_S,
-        )
-
-    result = run_once(benchmark, experiment)
-    events = result.migration_events()
-    hops = [(e.time_ms / 1000.0, e.detail["src"], e.detail["dst"]) for e in events]
-
-    rows = [[f"{t:.1f}s", src, dst] for t, src, dst in hops]
-    table = format_table(
-        ["time", "from CPU", "to CPU"],
-        rows,
-        title="Figure 9: CPU on which the single bitcnts task runs",
-    )
-    intervals = np.diff([t for t, _, _ in hops])
-    visited = [hops[0][1]] + [dst for _, _, dst in hops]
-    table += (
-        f"\n\nmigrations: {len(hops)}; interval "
-        f"{intervals.mean():.1f}s mean (paper: ~10 s); "
-        f"CPUs visited: {visited}"
-    )
-    emit(capsys, "fig9_hot_task_tour", table)
+def test_fig9_hot_task_tour(capsys):
+    metrics = experiment_metrics("fig9")
+    emit_report(capsys, metrics)
+    hops = metrics["rows"]
 
     # Shape assertions.
     assert len(hops) >= 10, "task should migrate repeatedly"
     # ~10 s cadence.
-    assert 6.0 < intervals.mean() < 18.0
-    for _, src, dst in hops:
+    assert 6.0 < metrics["mean_interval_s"] < 18.0
+    for hop in hops:
+        src, dst = hop["src"], hop["dst"]
         assert abs(src - dst) != 8, "never to the SMT sibling"
         assert node_of(src) == node_of(dst), "never across the node boundary"
     # Round-robin over the four packages of one node: in any window of
     # five consecutive placements at least four distinct packages appear.
-    packages = [cpu % 8 for cpu in visited]
+    packages = [cpu % 8 for cpu in metrics["visited"]]
     for i in range(len(packages) - 4):
         window = set(packages[i : i + 5])
         assert len(window) >= 3

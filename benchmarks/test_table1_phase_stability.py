@@ -21,7 +21,7 @@ import random
 
 import numpy as np
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.analysis.stats import phase_change_stats
 from repro.core.estimator import build_calibrated_estimator
@@ -64,14 +64,11 @@ def measure_timeslice_powers(name: str, seed: int = 101) -> np.ndarray:
     return powers
 
 
-def test_table1_phase_stability(benchmark, capsys):
-    def experiment():
-        return {
-            name: phase_change_stats(name, measure_timeslice_powers(name))
-            for name in PAPER
-        }
-
-    stats = run_once(benchmark, experiment)
+def test_table1_phase_stability(capsys):
+    stats = {
+        name: phase_change_stats(name, measure_timeslice_powers(name))
+        for name in PAPER
+    }
 
     rows = []
     for name, (paper_max, paper_avg) in PAPER.items():

@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.core.estimator import build_calibrated_estimator
 from repro.cpu.frequency import ExecutionModel
@@ -52,11 +52,8 @@ def measure_program(name: str, seed: int = 202):
     return true_w, est_w
 
 
-def test_table2_program_power(benchmark, capsys):
-    def experiment():
-        return {name: measure_program(name) for name in PAPER}
-
-    measured = run_once(benchmark, experiment)
+def test_table2_program_power(capsys):
+    measured = {name: measure_program(name) for name in PAPER}
 
     rows = []
     for name, (lo, hi) in PAPER.items():

@@ -9,126 +9,45 @@ with the best thermal properties among the throttling set drop to 0 %.
 Throughput +4.7 % (long tasks), +4.9 % (short tasks, where initial
 placement is what matters).
 
-Setup here: heterogeneous per-package thermal resistances chosen so the
-three hot packages (0, 3, 4) exceed 38 degC under a mixed load while the
-cooler five never do — mirroring the paper's machine."""
+Setup here (``repro.experiments.table3_config``): heterogeneous
+per-package thermal resistances chosen so the three hot packages (0, 3,
+4) exceed 38 degC under a mixed load while the cooler five never do —
+mirroring the paper's machine."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
-from repro.analysis.report import format_table
-from repro.analysis.stats import throttle_table, throughput_gain
-from repro.api import run_simulation
-from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
-from repro.cpu.throttle import ThrottleConfig
-from repro.cpu.topology import MachineSpec
-from repro.workloads.generator import mixed_table2_workload, short_task_storm
-
-# Per-package thermal resistance (K/W): packages 0, 3, 4 cool poorly.
-PACKAGE_R = [0.36, 0.17, 0.16, 0.33, 0.31, 0.15, 0.14, 0.13]
-PAPER_ROWS = {0: (51.5, 35.1), 3: (54.1, 39.7), 4: (10.8, 0.0),
-              8: (61.1, 35.7), 11: (54.7, 51.9), 12: (11.0, 0.0)}
-DURATION_S = 600.0
+from benchmarks.conftest import emit_report
+from repro.experiments import experiment_metrics
 
 
-def t3_config(seed: int = 11) -> SystemConfig:
-    thermal = tuple(
-        ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in PACKAGE_R
-    )
-    return SystemConfig(
-        machine=MachineSpec.ibm_x445(smt=True),
-        thermal=thermal,
-        temp_limit_c=38.0,
-        throttle=ThrottleConfig(enabled=True),
-        seed=seed,
-    )
-
-
-def test_table3_throttling_percentages(benchmark, capsys):
-    def experiment():
-        config = t3_config()
-        wl = mixed_table2_workload(6)
-        return {
-            pol: run_simulation(config, wl, policy=pol, duration_s=DURATION_S)
-            for pol in ("baseline", "energy")
-        }
-
-    runs = run_once(benchmark, experiment)
-    base, energy = runs["baseline"], runs["energy"]
-
-    rows = []
-    for row in throttle_table(base, energy):
-        paper = PAPER_ROWS.get(row.cpu, ("-", "-"))
-        rows.append(
-            [row.cpu, f"{row.disabled_pct:.1f}%", f"{row.enabled_pct:.1f}%",
-             f"{paper[0]}%", f"{paper[1]}%"]
-        )
-    rows.append(
-        ["average (all 16)",
-         f"{base.average_throttle_fraction() * 100:.1f}%",
-         f"{energy.average_throttle_fraction() * 100:.1f}%",
-         "15.2%", "10.2%"]
-    )
-    gain = throughput_gain(base, energy)
-    table = format_table(
-        ["logical CPU", "balancing off", "balancing on", "paper off", "paper on"],
-        rows,
-        title="Table 3: CPU throttling percentage (38 degC limit)",
-    )
-    table += f"\n\nthroughput increase: {gain * 100:+.1f}%  (paper: +4.7%)"
-    table += (
-        f"\nmax temperature: {energy.max_temperature_c:.1f} degC"
-        "  (paper: limit 38 degC, uncontrolled max 45 degC)"
-    )
-    emit(capsys, "table3_throttling", table)
+def test_table3_throttling_percentages(capsys):
+    metrics = experiment_metrics("table3")
+    emit_report(capsys, metrics)
+    s = metrics["scalars"]
+    rows = metrics["rows"]
 
     # Shape assertions.
     throttled_cpus = {
-        cpu for cpu in range(16)
-        if base.throttle_fraction(cpu) > 0.005 or energy.throttle_fraction(cpu) > 0.005
+        r["cpu"] for r in rows if r["disabled_pct"] > 0.5 or r["enabled_pct"] > 0.5
     }
     # Only the three poorly-cooled packages (logical 0/3/4 + 8/11/12).
     assert throttled_cpus == {0, 3, 4, 8, 11, 12}
     # Energy balancing reduces throttling on every affected CPU.
-    for cpu in sorted(throttled_cpus):
-        assert energy.throttle_fraction(cpu) <= base.throttle_fraction(cpu) + 0.02
+    for r in rows:
+        assert r["enabled_pct"] <= r["disabled_pct"] + 2.0
     # Average drops by roughly the paper's factor (15.2 -> 10.2 is ~0.67x).
-    ratio = energy.average_throttle_fraction() / base.average_throttle_fraction()
+    ratio = s["avg_throttle_enabled_pct"] / s["avg_throttle_disabled_pct"]
     assert 0.3 < ratio < 0.9
     # Throughput increases by a few percent.
-    assert 0.02 < gain < 0.15
+    assert 0.02 < s["throughput_gain"] < 0.15
 
 
-def test_table3_short_tasks_placement(benchmark, capsys):
+def test_table3_short_tasks_placement(capsys):
     """§6.2's second experiment: tasks shorter than a second, where
     initial placement (§4.6) carries the effect (+4.9 % in the paper)."""
+    metrics = experiment_metrics("short-tasks")
+    emit_report(capsys, metrics)
+    s = metrics["scalars"]
 
-    def experiment():
-        config = t3_config(seed=12)
-        wl = short_task_storm(total_slots=32, job_s=0.7)
-        return {
-            pol: run_simulation(config, wl, policy=pol, duration_s=300.0)
-            for pol in ("baseline", "energy")
-        }
-
-    runs = run_once(benchmark, experiment)
-    base, energy = runs["baseline"], runs["energy"]
-    gain = throughput_gain(base, energy)
-    table = format_table(
-        ["metric", "balancing off", "balancing on"],
-        [
-            ["jobs finished", f"{base.fractional_jobs():.0f}",
-             f"{energy.fractional_jobs():.0f}"],
-            ["avg throttling", f"{base.average_throttle_fraction() * 100:.1f}%",
-             f"{energy.average_throttle_fraction() * 100:.1f}%"],
-            ["throughput gain", "-", f"{gain * 100:+.1f}% (paper: +4.9%)"],
-        ],
-        title="Short-task workload: initial placement drives the gain",
-    )
-    emit(capsys, "table3_short_tasks", table)
-
-    assert gain > 0.01
-    assert (
-        energy.average_throttle_fraction() < base.average_throttle_fraction()
-    )
+    assert s["throughput_gain"] > 0.01
+    assert s["avg_throttle_enabled_pct"] < s["avg_throttle_disabled_pct"]

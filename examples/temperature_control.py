@@ -14,33 +14,18 @@ the system's throughput by about 5 %".
 Run:  python examples/temperature_control.py
 """
 
-from repro import (
-    MachineSpec,
-    SystemConfig,
-    ThermalParams,
-    ThrottleConfig,
-    compare_policies,
-    mixed_table2_workload,
-)
+from repro import compare_policies, mixed_table2_workload
 from repro.analysis.report import format_table
 from repro.analysis.stats import throttle_table
+from repro.experiments import table3_config
 
-# K/W thermal resistance per package: 0, 3 and 4 cool poorly.
-PACKAGE_R = [0.36, 0.17, 0.16, 0.33, 0.31, 0.15, 0.14, 0.13]
 DURATION_S = 300.0
 
 
 def main() -> None:
-    thermal = tuple(
-        ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in PACKAGE_R
-    )
-    config = SystemConfig(
-        machine=MachineSpec.ibm_x445(smt=True),
-        thermal=thermal,
-        temp_limit_c=38.0,
-        throttle=ThrottleConfig(enabled=True),
-        seed=11,
-    )
+    # Table 3's machine: packages 0, 3 and 4 cool poorly
+    # (repro.experiments.T3_PACKAGE_R).
+    config = table3_config(seed=11)
     workload = mixed_table2_workload(copies=6)  # 36 tasks on 16 logical CPUs
     print("16 logical CPUs, 38 degC limit, heterogeneous cooling")
     print(f"running both policies for {DURATION_S:.0f} simulated seconds...\n")

@@ -24,11 +24,9 @@ paper-vs-measured record of every table and figure.
 
 from repro.api import (
     PolicyComparison,
-    ReplicatedComparison,
     RunOptions,
     SimulationResult,
     compare_policies,
-    run_replicated,
     run_simulation,
 )
 from repro.config import SystemConfig
@@ -66,7 +64,6 @@ __all__ = [
     "PolicySpec",
     "PowerModelParams",
     "PowerTrace",
-    "ReplicatedComparison",
     "RunOptions",
     "Scenario",
     "ProfileConfig",
@@ -87,7 +84,6 @@ __all__ = [
     "parse_scenario",
     "policy_names",
     "program",
-    "run_replicated",
     "run_simulation",
     "short_task_storm",
     "single_program_workload",

@@ -6,7 +6,6 @@ from repro.analysis.stats import (
     curve_band,
     phase_change_stats,
     throttle_table,
-    throughput_gain,
 )
 from repro.analysis.timeseries import (
     band_width,
@@ -39,5 +38,4 @@ __all__ = [
     "steady_window",
     "task_table",
     "throttle_table",
-    "throughput_gain",
 ]

@@ -1,8 +1,8 @@
-"""Plain-text rendering for the benchmark harness.
+"""Plain-text rendering for the experiment reports.
 
-The harness prints the same rows/series the paper's tables and figures
+The reports print the same rows/series the paper's tables and figures
 report; these helpers keep that output aligned and readable in a
-terminal and in the committed ``bench_output.txt``.
+terminal and in the committed ``benchmarks/results/*.txt`` files.
 """
 
 from __future__ import annotations
@@ -92,6 +92,13 @@ def task_table(result, include_exited: bool = False) -> str:
     )
 
 
+def chart_columns(values, width: int = 72) -> np.ndarray:
+    """The samples of ``values`` that :func:`ascii_chart` plots, one per
+    column."""
+    values = np.asarray(values, dtype=float)
+    return values[np.linspace(0, len(values) - 1, width).astype(int)]
+
+
 def ascii_chart(
     series: Sequence[tuple[str, np.ndarray]],
     height: int = 12,
@@ -114,10 +121,8 @@ def ascii_chart(
         hi = lo + 1.0
     grid = [[" "] * width for _ in range(height)]
     for idx, (_, values) in enumerate(series):
-        values = np.asarray(values, dtype=float)
-        xs = np.linspace(0, len(values) - 1, width).astype(int)
-        for col, x in enumerate(xs):
-            frac = (values[x] - lo) / (hi - lo)
+        for col, value in enumerate(chart_columns(values, width)):
+            frac = (value - lo) / (hi - lo)
             row = height - 1 - int(round(frac * (height - 1)))
             grid[row][col] = glyphs[idx % len(glyphs)]
     lines = []

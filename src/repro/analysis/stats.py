@@ -69,25 +69,24 @@ def throttle_table(
     return rows
 
 
-def throughput_gain(baseline: SimulationResult, energy: SimulationResult) -> float:
-    """Relative throughput increase of the energy-aware run."""
-    base = baseline.fractional_jobs()
-    if base <= 0:
-        raise ValueError("baseline made no progress")
-    return energy.fractional_jobs() / base - 1.0
-
-
 def curve_band(result: SimulationResult, skip_s: float = 60.0) -> dict[str, float]:
     """Summary of the thermal-power curve family (Figures 6/7).
 
     Returns mean/max band width plus the overall maximum thermal power
-    after the warm-up transient.
+    after the warm-up transient.  Raises ``ValueError`` if the run left
+    no trace sample after the warm-up.
     """
     series = result.all_thermal_power_series()
-    widths = band_width(series, skip_s=skip_s)
     n = min(len(s) for s in series)
     times = series[0].times[:n]
     mask = times >= skip_s
+    if not mask.any():
+        raise ValueError(
+            f"no thermal-power sample after the {skip_s:g} s warm-up of a "
+            f"{result.duration_s:g} s run (the trace samples every "
+            f"{result.system.config.sample_interval_s:g} s)"
+        )
+    widths = band_width(series, skip_s=skip_s)
     peak = max(float(s.values[:n][mask].max()) for s in series)
     return {
         "mean_width_w": float(widths.mean()),

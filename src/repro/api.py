@@ -13,7 +13,7 @@ Every run is deterministic in (config, workload, policy, duration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.config import SystemConfig
 from repro.core.policy import EnergyAwareConfig
@@ -394,73 +394,3 @@ def compare_policies(
         fast_path=fast_path,
     )
     return PolicyComparison(baseline=baseline, energy_aware=energy)
-
-
-@dataclass(frozen=True, slots=True)
-class ReplicatedComparison:
-    """A policy comparison repeated over several seeds.
-
-    The paper reports multi-run averages ("we ran the experiments
-    several times ... on average, there were 3.3 migrations"); this
-    aggregates the same way.
-    """
-
-    runs: tuple[PolicyComparison, ...]
-
-    def __post_init__(self) -> None:
-        if not self.runs:
-            raise ValueError("need at least one run")
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
-    def mean_throughput_gain(self) -> float:
-        return sum(r.throughput_gain for r in self.runs) / self.n_runs
-
-    def gain_std(self) -> float:
-        mean = self.mean_throughput_gain()
-        var = sum((r.throughput_gain - mean) ** 2 for r in self.runs) / self.n_runs
-        return var ** 0.5
-
-    def mean_migrations(self) -> tuple[float, float]:
-        """(baseline, energy-aware) migration counts averaged over runs."""
-        base = sum(r.baseline.migrations() for r in self.runs) / self.n_runs
-        energy = sum(r.energy_aware.migrations() for r in self.runs) / self.n_runs
-        return base, energy
-
-    def mean_throttle_fractions(self) -> tuple[float, float]:
-        base = sum(
-            r.baseline.average_throttle_fraction() for r in self.runs
-        ) / self.n_runs
-        energy = sum(
-            r.energy_aware.average_throttle_fraction() for r in self.runs
-        ) / self.n_runs
-        return base, energy
-
-
-def run_replicated(
-    config: SystemConfig,
-    workload: WorkloadSpec,
-    duration_s: float = 300.0,
-    n_runs: int = 3,
-    policy_config: EnergyAwareConfig | None = None,
-    fast_path: bool = True,
-) -> ReplicatedComparison:
-    """Repeat :func:`compare_policies` with derived seeds and aggregate.
-
-    Seeds are ``config.seed, config.seed + 1, ...`` so the replication
-    set is itself deterministic.
-    """
-    if n_runs < 1:
-        raise ValueError("need at least one run")
-    runs = []
-    for i in range(n_runs):
-        seeded = replace(config, seed=config.seed + i)
-        runs.append(
-            compare_policies(
-                seeded, workload, duration_s=duration_s,
-                policy_config=policy_config, fast_path=fast_path,
-            )
-        )
-    return ReplicatedComparison(runs=tuple(runs))

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="experiment name (see 'list')")
     run.add_argument("--duration", type=_positive_duration, default=None,
                      metavar="SECONDS",
-                     help="simulated duration (default: a quick-look value)")
+                     help="simulated duration (default: the committed one)")
     run.add_argument("--seed", type=int, default=None,
                      help="root random seed (default: the committed one)")
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "version (normally refused)")
 
     reproduce = sub.add_parser(
-        "reproduce", help="run every experiment (quick-look durations)"
+        "reproduce", help="run every experiment at its committed duration"
     )
     reproduce.add_argument("--duration", type=_positive_duration, default=None,
                            metavar="SECONDS",
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--duration", type=_positive_duration, default=None,
                        metavar="SECONDS",
                        help="simulated duration per job (default: the "
-                            "experiment's quick-look value)")
+                            "experiment's committed duration)")
     _add_runner_options(sweep)
 
     scenarios = sub.add_parser(
@@ -1240,8 +1240,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "top":
         return _cmd_top(parser, args)
     experiment = _resolve_experiment(parser, args.experiment)
-    report = run_experiment(experiment, duration_s=args.duration,
-                            seed=args.seed)
+    try:
+        report = run_experiment(experiment, duration_s=args.duration,
+                                seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(report)
     return 0
 

@@ -51,8 +51,8 @@ class JobSpec:
         ``parse_scenario`` after ``overrides``/``duration_s``/``seed``
         are merged in.
     duration_s:
-        Simulated duration; ``None`` keeps the experiment's quick-look
-        default (or the scenario's own ``duration_s``).
+        Simulated duration; ``None`` keeps the experiment's committed
+        duration (or the scenario's own ``duration_s``).
     seed:
         Root seed; ``None`` keeps the committed default.
     overrides:

@@ -164,13 +164,6 @@ class TestCurveBandAndThrottleTable:
         for row in rows:
             assert row.disabled_pct >= 0.5 or row.enabled_pct >= 0.5
 
-    def test_throughput_gain_consistency(self, pair):
-        from repro.analysis.stats import throughput_gain
-
-        gain = throughput_gain(pair[0], pair[1])
-        expected = pair[1].fractional_jobs() / pair[0].fractional_jobs() - 1
-        assert gain == pytest.approx(expected)
-
 
 class TestTaskTable:
     def test_renders_per_task_rows(self):

@@ -48,46 +48,6 @@ class TestRunSimulation:
         assert total == by_reason
 
 
-class TestRunReplicated:
-    def test_aggregates_over_derived_seeds(self, config):
-        from repro.api import run_replicated
-
-        rep = run_replicated(
-            config, mixed_table2_workload(1), duration_s=10, n_runs=3
-        )
-        assert rep.n_runs == 3
-        gains = [r.throughput_gain for r in rep.runs]
-        assert rep.mean_throughput_gain() == pytest.approx(sum(gains) / 3)
-        base_mean, energy_mean = rep.mean_migrations()
-        assert base_mean >= 0 and energy_mean >= 0
-        assert rep.gain_std() >= 0
-
-    def test_runs_use_distinct_seeds(self, config):
-        from repro.api import run_replicated
-
-        rep = run_replicated(
-            config, mixed_table2_workload(1), duration_s=10, n_runs=2
-        )
-        a = rep.runs[0].energy_aware.system.config.seed
-        b = rep.runs[1].energy_aware.system.config.seed
-        assert b == a + 1
-
-    def test_rejects_zero_runs(self, config):
-        from repro.api import run_replicated
-
-        with pytest.raises(ValueError):
-            run_replicated(config, mixed_table2_workload(1), n_runs=0)
-
-    def test_mean_throttle_fractions(self, config):
-        from repro.api import run_replicated
-
-        rep = run_replicated(
-            config, mixed_table2_workload(1), duration_s=5, n_runs=2
-        )
-        base, energy = rep.mean_throttle_fractions()
-        assert base == 0.0 and energy == 0.0  # throttling disabled
-
-
 class TestComparePolicies:
     def test_comparison_runs_both_policies(self, config):
         cmp = compare_policies(

@@ -10,8 +10,8 @@ from repro.experiments import REGISTRY, experiment_metrics, run_experiment
 
 class TestRegistry:
     def test_all_evaluation_experiments_registered(self):
-        expected = {"fig6-7", "table3", "short-tasks", "fig8", "fig9",
-                    "fig10", "hotspot"}
+        expected = {"fig6-7", "fig7-smt", "table3", "short-tasks", "fig8",
+                    "fig9", "fig10", "hotspot"}
         assert set(REGISTRY) == expected
 
     def test_entries_have_descriptions(self):
@@ -58,6 +58,16 @@ class TestCli:
         out = capsys.readouterr().out
         for name in REGISTRY:
             assert name in out
+        assert "fig7-smt" in out
+
+    def test_run_too_short_for_the_band_is_a_clean_error(self, capsys):
+        # The trace samples every second, so a 0.5 s run leaves the
+        # Figures 6/7 band no sample after its warm-up.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig6-7", "--duration", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err and "0.5 s run" in err
 
     def test_run_prints_report(self, capsys):
         assert main(["run", "fig9", "--duration", "30"]) == 0

@@ -8,9 +8,14 @@ import pytest
 from repro.analysis.stats import curve_band
 from repro.api import compare_policies, run_simulation
 from repro.config import SystemConfig
-from repro.cpu.thermal import ThermalParams
 from repro.cpu.throttle import ThrottleConfig
 from repro.cpu.topology import MachineSpec
+from repro.experiments import (
+    fig6_config,
+    fig8_config,
+    hot_task_config,
+    table3_config,
+)
 from repro.workloads.generator import (
     mixed_table2_workload,
     single_program_workload,
@@ -22,11 +27,7 @@ class TestEnergyBalancingShape:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=False),
-            max_power_per_cpu_w=60.0,
-            seed=7,
-        )
+        config = fig6_config(smt=False, seed=7)
         wl = mixed_table2_workload(3)
         return {
             pol: run_simulation(config, wl, policy=pol, duration_s=240)
@@ -59,14 +60,8 @@ class TestHotTaskTourShape:
 
     @pytest.fixture(scope="class")
     def result(self):
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=True),
-            max_power_per_cpu_w=20.0,  # 40 W per package
-            thermal=ThermalParams(r_k_per_w=0.30, c_j_per_k=50.0),
-            seed=3,
-        )
         return run_simulation(
-            config, single_program_workload("bitcnts", 1),
+            hot_task_config(seed=3), single_program_workload("bitcnts", 1),
             policy="energy", duration_s=120,
         )
 
@@ -113,16 +108,8 @@ class TestThrottlingAvoidance:
         assert energy_fraction < base_fraction / 3
 
     def test_energy_balancing_reduces_throttling_under_heterogeneous_cooling(self):
-        rs = [0.36, 0.17, 0.16, 0.33, 0.31, 0.15, 0.14, 0.13]
-        thermal = tuple(ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in rs)
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=True),
-            thermal=thermal,
-            temp_limit_c=38.0,
-            throttle=ThrottleConfig(enabled=True),
-            seed=11,
-        )
-        cmp = compare_policies(config, mixed_table2_workload(6), duration_s=180)
+        cmp = compare_policies(table3_config(seed=11), mixed_table2_workload(6),
+                               duration_s=180)
         assert (
             cmp.energy_aware.average_throttle_fraction()
             < cmp.baseline.average_throttle_fraction()
@@ -132,17 +119,9 @@ class TestThrottlingAvoidance:
     def test_homogeneous_workload_gains_nothing(self):
         """§6.3's corner case: all-identical tasks leave the scheduler
         no room to redirect power."""
-        rs = [0.32, 0.21, 0.20, 0.30, 0.28, 0.19, 0.25, 0.18]
-        thermal = tuple(ThermalParams(r_k_per_w=r, c_j_per_k=20.0 / r) for r in rs)
-        config = SystemConfig(
-            machine=MachineSpec.ibm_x445(smt=False),
-            thermal=thermal,
-            temp_limit_c=38.0,
-            throttle=ThrottleConfig(enabled=True),
-            seed=13,
-        )
         cmp = compare_policies(
-            config, single_program_workload("pushpop", 18), duration_s=120
+            fig8_config(seed=13), single_program_workload("pushpop", 18),
+            duration_s=120,
         )
         assert abs(cmp.throughput_gain) < 0.03
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check the docs against the code and the committed benchmark numbers.
 
-Six classes of drift have bitten this repo or would, and each is a
+Seven classes of drift have bitten this repo or would, and each is a
 build failure instead of a review comment:
 
 1. **Stale performance claims.** Every headline number the docs cite
@@ -38,6 +38,12 @@ build failure instead of a review comment:
    kind catalog of ``docs/live_telemetry.md``, and the doc must not
    list kinds the bus no longer knows.
 
+7. **Stale paper-vs-measured numbers.** The "ours" numbers EXPERIMENTS.md
+   cites for Table 3 (average throttling and both throughput gains),
+   Figures 8 and 10 and the Figures 6/7 migration counts must equal the
+   committed ``benchmarks/results/`` files at one decimal.  Update the
+   doc after ``pytest benchmarks``.
+
 Run: python tools/check_docs.py   (exit 1 on any drift)
 """
 
@@ -58,6 +64,8 @@ ARCH_DOC = REPO / "docs" / "architecture.md"
 POLICIES_DOC = REPO / "docs" / "policies.md"
 SCENARIOS_DOC = REPO / "docs" / "scenarios.md"
 TELEMETRY_DOC = REPO / "docs" / "live_telemetry.md"
+EXPERIMENTS_DOC = REPO / "EXPERIMENTS.md"
+RESULTS_DIR = REPO / "benchmarks" / "results"
 
 errors: list[str] = []
 
@@ -244,6 +252,66 @@ def check_event_kinds() -> None:
             )
 
 
+def _cited(text: str, pattern: str, label: str) -> list[str]:
+    """The numbers ``pattern``'s groups capture in ``text``, or none."""
+    match = re.search(pattern, text, re.M)
+    if match is None:
+        errors.append(f"{EXPERIMENTS_DOC.name}: no line matching {label!r} "
+                      f"(pattern {pattern!r})")
+        return []
+    return [cell.replace("**", "").replace("%", "").replace("−", "-")
+            .strip() for cell in match.groups()]
+
+
+def _measured(name: str, pattern: str) -> list[str]:
+    """Every number ``pattern``'s groups capture in a results file."""
+    text = (RESULTS_DIR / f"{name}.txt").read_text()
+    return [cell for match in re.finditer(pattern, text, re.M)
+            for cell in match.groups()]
+
+
+def _section(text: str, heading: str) -> str:
+    start = text.find(f"\n## {heading}")
+    end = text.find("\n## ", start + 1)
+    return "" if start == -1 else text[start:end if end != -1 else None]
+
+
+def check_experiment_numbers() -> None:
+    text = EXPERIMENTS_DOC.read_text()
+    sign = r"([+−-][\d.]+)"
+    migrations = r"^ *migrations \| +(\d+) \| +(\d+) \|"
+    checks = [
+        ("Figures 6/7 migrations (SMT off)",
+         _cited(text, r"^\| migrations / 15 min \(SMT off, 18 tasks\) \|"
+                r"[^|]*\| (\d+) → (\d+) \|", "SMT-off migrations"),
+         _measured("fig6-7", migrations)),
+        ("Figures 6/7 migrations (SMT on)",
+         _cited(text, r"^\| migrations / 15 min \(SMT on, 36 tasks\) +\|"
+                r"[^|]*\| (\d+) → (\d+) \|", "SMT-on migrations"),
+         _measured("fig7-smt", migrations)),
+        ("Table 3 average throttling",
+         _cited(text, r"^\| average \(16\) \|[^|]*\| ([\d.]+) → ([\d.]+) % \|",
+                "Table 3 average row"),
+         _measured("table3", r"^average \(all 16\) \| +([\d.]+)% \| +([\d.]+)%")),
+        ("Table 3 and short-task throughput gains",
+         _cited(text, f"^ours {sign} % and {sign} %", "Table 3 gains"),
+         _measured("table3", r"^throughput increase: ([+-][\d.]+)%")
+         + _measured("short-tasks", r"^throughput gain \| +- \| ([+-][\d.]+)%")),
+        ("Figure 8 'ours' row",
+         _cited(_section(text, "Figure 8"), r"^\| ours +\|" + r"([^|]+)\|" * 10,
+                "Figure 8 ours row"),
+         _measured("fig8", r"^ +\d+/\d+/\d+ \| +([+-][\d.]+)%$")),
+        ("Figure 10 'ours' row",
+         _cited(_section(text, "Figure 10"), r"^\| ours +\|" + r"([^|]+)\|" * 7,
+                "Figure 10 ours row"),
+         _measured("fig10", r"^ *(?:\d+|1 task @ 50 W) \| +([+-][\d.]+)% \|")),
+    ]
+    for label, cited, measured in checks:
+        if cited and cited != measured:
+            errors.append(f"{EXPERIMENTS_DOC.name}: {label} cites {cited} "
+                          f"but benchmarks/results/ says {measured}")
+
+
 def main() -> int:
     check_perf_numbers()
     check_ledger_numbers()
@@ -251,13 +319,14 @@ def main() -> int:
     check_subpackage_coverage()
     check_scenario_families()
     check_event_kinds()
+    check_experiment_numbers()
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
     print("docs are consistent with BENCH_perf.json, "
-          "BENCH_history.jsonl, BENCH_policies.json, repro.scenarios, "
-          "repro.obs.events, and src/repro/")
+          "BENCH_history.jsonl, BENCH_policies.json, benchmarks/results/, "
+          "repro.scenarios, repro.obs.events, and src/repro/")
     return 0
 
 

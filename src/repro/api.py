@@ -271,7 +271,7 @@ def run_simulation(
     names raise ``ValueError`` up front.
     ``fast_path`` selects the batched tick loop (the default) or the
     scalar reference implementation — results are bit-identical either
-    way (the perf harness asserts this), so the flag exists for
+    way (``repro validate`` asserts this), so the flag exists for
     benchmarking and verification, not for correctness trade-offs.
     ``validate`` (False, True, or a
     :class:`repro.validate.invariants.ValidationConfig`) installs the

@@ -21,13 +21,13 @@ import sys
 
 from repro.experiments import REGISTRY, run_experiment
 
-#: Version of the ``--json`` report envelope shared by ``perf``,
-#: ``validate``, ``trace``, and ``explain``.
+#: Version of the ``--json`` report envelope shared by ``validate``,
+#: ``tournament``, ``trace``, and ``explain``.
 REPORT_SCHEMA = 1
 
 #: Default simulated duration for the telemetry commands (``trace`` /
-#: ``explain``) when run against a pinned perf scenario — long enough
-#: for decisions to fire, short enough for interactive use.
+#: ``explain``) when run against a pinned scenario — long enough for
+#: decisions to fire, short enough for interactive use.
 OBS_DEFAULT_DURATION_S = 60.0
 
 
@@ -52,7 +52,7 @@ def _print_json_report(payload) -> None:
 
 def _validate_duration(text: str) -> float | None:
     """``--duration`` for the validate matrix: ``short``, ``full``, or
-    seconds.  ``full`` maps to ``None`` (each scenario's pinned perf
+    seconds.  ``full`` maps to ``None`` (each scenario's pinned
     duration)."""
     lowered = text.strip().lower()
     if lowered == "short":
@@ -245,24 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "optional with --resume")
     _add_runner_options(batch)
 
-    perf = sub.add_parser(
-        "perf",
-        help="check the batched tick loop against the scalar reference "
-             "byte for byte and write a BENCH_perf.json timing snapshot",
-    )
-    perf.add_argument("--scenario", action="append", default=None,
-                      metavar="NAME", dest="scenarios",
-                      help="run only this scenario (repeatable; default: "
-                           "the full reference set)")
-    perf.add_argument("--duration", type=_positive_duration, default=None,
-                      metavar="SECONDS",
-                      help="override every scenario's pinned simulated "
-                           "duration")
-    perf.add_argument("--output", default="BENCH_perf.json", metavar="PATH",
-                      help="result file (default: BENCH_perf.json)")
-    perf.add_argument("--json", action="store_true",
-                      help="print the payload as JSON instead of a table")
-
     tournament = sub.add_parser(
         "tournament",
         help="race every scheduling policy across the pinned scenarios "
@@ -327,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="short", metavar="SECONDS|short|full",
                           help="simulated seconds per run, or 'short' "
                                "(default) / 'full' (each scenario's pinned "
-                               "perf duration)")
+                               "duration)")
     validate.add_argument("--sample-every", type=int, default=1, metavar="N",
                           help="evaluate tick invariants every N ticks "
                                "(default: 1)")
@@ -387,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_obs_source_options(parser: argparse.ArgumentParser) -> None:
     """Shared trace/explain options choosing what to run."""
     parser.add_argument("--scenario", default="mixed-16cpu", metavar="NAME",
-                        help="pinned perf scenario to run (default: "
+                        help="pinned scenario to run (default: "
                              "mixed-16cpu)")
     parser.add_argument("--file", default=None, metavar="PATH",
                         help="run a scenario JSON file instead of a "
@@ -787,41 +769,8 @@ def _cmd_batch(parser, args) -> int:
     return 1 if report.failures else 0
 
 
-def _cmd_perf(parser, args) -> int:
-    from repro.perf import (
-        format_bench_report,
-        run_benchmarks,
-        scenario_by_name,
-        write_bench_json,
-    )
-
-    scenarios = None
-    if args.scenarios:
-        try:
-            scenarios = [scenario_by_name(name) for name in args.scenarios]
-        except ValueError as exc:
-            parser.error(str(exc))
-    payload = run_benchmarks(scenarios, duration_s=args.duration)
-    path = write_bench_json(payload, args.output)
-    if args.json:
-        _print_json_report(payload)
-    else:
-        print(format_bench_report(payload))
-    print(f"wrote {path}", file=sys.stderr)
-    if not payload["all_summaries_identical"]:
-        print("error: fast path diverged from the scalar reference",
-              file=sys.stderr)
-        return 1
-    fleet = payload.get("fleet")
-    if fleet is not None and not fleet["members_identical"]:
-        print("error: fleet members diverged from the scalar reference",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_tournament(parser, args) -> int:
-    from repro.perf import scenario_by_name
+    from repro.scenarios.pinned import scenario_by_name
     from repro.tournament import (
         DEFAULT_DURATION_S,
         TOURNAMENT_SCENARIOS,
@@ -887,7 +836,7 @@ def _cmd_tournament(parser, args) -> int:
 
 
 def _cmd_validate(parser, args) -> int:
-    from repro.perf import scenario_by_name
+    from repro.scenarios.pinned import scenario_by_name
     from repro.validate import (
         format_validation_report,
         run_validation,
@@ -944,8 +893,8 @@ def _run_observed(parser, args):
         scenario = _load_scenario_file(parser, args.file)
         name, default_duration = scenario.workload.name, scenario.duration_s
     else:
-        from repro.perf import scenario_by_name
         from repro.scenario import parse_scenario
+        from repro.scenarios.pinned import scenario_by_name
 
         try:
             pinned = scenario_by_name(args.scenario)
@@ -1227,8 +1176,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_scenarios(parser, args)
     if args.command == "batch":
         return _cmd_batch(parser, args)
-    if args.command == "perf":
-        return _cmd_perf(parser, args)
     if args.command == "tournament":
         return _cmd_tournament(parser, args)
     if args.command == "validate":

@@ -4,8 +4,9 @@
 (dispatch, execute, thermal, throttle, housekeeping, sample, validate)
 so perf work can see *which* phase regressed instead of only the
 end-to-end ticks/s number.  The profiled tick loop in
-:class:`~repro.system.System` feeds it; the perf harness reports it
-next to ``BENCH_perf.json``.
+:class:`~repro.system.System` feeds it;
+:meth:`~repro.obs.observer.Observer.phase_report` reads it, and
+perfbench's traced runs report it as ``system.phase.*_frac``.
 
 Wall-clock durations are nondeterministic by nature, so profiling is a
 separate opt-in from the rest of observability and its numbers never

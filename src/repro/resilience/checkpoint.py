@@ -19,8 +19,8 @@ Determinism contract: resuming runs the remaining ticks on a clock
 restored to the snapshot tick, so tick-phase arithmetic, RNG draws, and
 trace sampling line up exactly — ``scalar_summary()`` and the event
 trace of a checkpointed-and-resumed run are byte-identical to the
-uninterrupted run on both tick paths (asserted per pinned perf scenario
-in ``tests/test_resilience_checkpoint.py``).
+uninterrupted run on both tick paths (asserted per pinned scenario in
+``tests/test_resilience_checkpoint.py``).
 """
 
 from __future__ import annotations

@@ -56,6 +56,8 @@ def _entry_durations(entry: Mapping[str, Any]) -> list[float | None]:
 
 def expand_entry(entry: Mapping[str, Any]) -> GridEntry:
     """Expand one grid entry into its cartesian spec list."""
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"grid entries must be JSON objects, not {entry!r}")
     known = {"experiment", "scenario", "seeds", "duration_s", "durations",
              "overrides", "label"}
     unknown = set(entry) - known

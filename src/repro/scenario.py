@@ -33,7 +33,9 @@ Used by ``python -m repro run-file <scenario.json>`` and directly via
 from __future__ import annotations
 
 import json
+import math
 import pathlib
+from collections.abc import Mapping
 from dataclasses import dataclass, replace as dataclasses_replace
 
 from repro.api import RunOptions, SimulationResult, run_simulation
@@ -187,12 +189,35 @@ def parse_scenario(data: dict) -> Scenario:
     family generates the base scenario from the spec's seed, and the
     dict's remaining keys override it.  The import is lazy because
     ``repro.scenarios`` builds on this module.
+
+    Raises ``ValueError`` when the document is not an object, when
+    ``machine`` is not an object, or when ``duration_s`` is not a
+    positive finite number.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"a scenario must be a JSON object, not {type(data).__name__}"
+        )
     if "generator" in data:
         from repro.scenarios import expand_generated
 
         data = expand_generated(data)
-    machine = _parse_machine(data.get("machine", {"preset": "ibm_x445"}))
+    machine_spec = data.get("machine", {"preset": "ibm_x445"})
+    if not isinstance(machine_spec, Mapping):
+        raise ValueError(
+            f"'machine' must be a JSON object, not {machine_spec!r}"
+        )
+    duration = data.get("duration_s", 300.0)
+    try:
+        duration_s = float(duration)
+    except (TypeError, ValueError):
+        duration_s = math.nan
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(
+            f"'duration_s' must be a positive number of seconds, "
+            f"not {duration!r}"
+        )
+    machine = _parse_machine(machine_spec)
     throttle_spec = data.get("throttle", {})
     throttle = ThrottleConfig(
         enabled=bool(throttle_spec.get("enabled", False)),
@@ -237,7 +262,7 @@ def parse_scenario(data: dict) -> Scenario:
         # A name or a {"name": ..., "params": {...}} mapping; unknown
         # names/params raise here, before any run starts.
         policy=PolicySpec.coerce(data.get("policy", "energy")),
-        duration_s=float(data.get("duration_s", 300.0)),
+        duration_s=duration_s,
     )
 
 

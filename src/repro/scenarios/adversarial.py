@@ -37,7 +37,7 @@ scenarios); sweeps fall back to the scalar/pool path automatically.
 ``n_candidates`` parameter perturbations from one RNG, run each
 instance briefly, and rank by observed migrations/s x throttle
 fraction.  ``tools/find_adversarial.py`` wraps it on the command line;
-the two worst offenders it found are pinned in ``repro.perf.scenarios``
+the two worst offenders it found are pinned in ``repro.scenarios.pinned``
 and the tournament matrix with golden traces.
 """
 

@@ -1,14 +1,14 @@
-"""Pinned reference scenarios: the one table every harness reads.
+"""Pinned reference scenarios: the one table every oracle reads.
 
 Each entry is a :func:`repro.scenario.parse_scenario` dict fixing
 machine, workload, policy, seed, and simulated duration, so successive
-benchmark runs measure the same work and their non-timing outputs are
-bitwise reproducible.  The set deliberately covers the distinct
-tick-loop regimes: SMT and non-SMT topologies, both policies, ``hlt``
-and DVFS throttling, and per-logical-CPU versus per-package power
-budgets — a fast-path regression in any regime fails the harness's
-identity assertion.  The perf harness, the validation matrix, the
-golden traces, and the policy tournament all read this table.
+runs do the same work and their outputs are bitwise reproducible.  The
+set deliberately covers the distinct tick-loop regimes: SMT and non-SMT
+topologies, both policies, ``hlt`` and DVFS throttling, and
+per-logical-CPU versus per-package power budgets — a fast-path
+regression in any regime fails ``repro validate``'s per-tick oracle.
+The validation matrix, the golden traces, the policy tournament, and
+the ``trace``/``explain`` commands all read this table.
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ class PinnedScenario:
     scenario: Mapping[str, Any]
 
 
-#: The scenario the speedup target is defined on: 16 logical CPUs, the
-#: Table 2 mixed workload, energy-aware balancing.
-HEADLINE_SCENARIO = "mixed-16cpu"
-
 REFERENCE_SCENARIOS: tuple[PinnedScenario, ...] = (
     PinnedScenario(
-        HEADLINE_SCENARIO,
+        "mixed-16cpu",
         "16-CPU SMT, mixed Table-2 workload, energy policy",
         {"machine": {"preset": "ibm_x445", "smt": True}, "seed": 42,
          "workload": {"builder": "mixed_table2", "copies": 6},
@@ -110,11 +106,10 @@ REFERENCE_SCENARIOS: tuple[PinnedScenario, ...] = (
     ),
 )
 
-#: The pinned fleet benchmark: the ``fleet`` section of
-#: ``BENCH_perf.json`` and the target of the ≥10x aggregate-throughput
-#: goal versus the per-job fast path.  Member *s* is
-#: ``dict(FLEET_SCENARIO.scenario, seed=s)`` for each of
-#: :data:`FLEET_SEEDS`.  The configuration is fleet-eligible by
+#: The pinned fleet configuration.  Member *s* is
+#: ``dict(FLEET_SCENARIO.scenario, seed=s)``; ``repro validate`` runs
+#: eight members on one :class:`~repro.fleet.FleetEngine` in lockstep
+#: with scalar twins.  The configuration is fleet-eligible by
 #: construction — noise sigmas pinned to zero, no throttling — and uses
 #: slow housekeeping cadences (long timeslices and balance intervals) so
 #: the per-tick work is dominated by execute/thermal, the phases the
@@ -130,13 +125,12 @@ FLEET_SCENARIO = PinnedScenario(
      "workload": {"builder": "steady_mix", "copies": 4},
      "policy": "energy", "duration_s": 60.0},
 )
-FLEET_SEEDS = range(1, 65)
 
 
 def scenario_by_name(
     name: str, scenarios: Sequence[PinnedScenario] = REFERENCE_SCENARIOS
 ) -> PinnedScenario:
-    """Look up a pinned scenario (by default in the perf table);
+    """Look up a pinned scenario (by default in the reference table);
     raises ``ValueError`` with the valid names otherwise."""
     for scenario in scenarios:
         if scenario.name == name:

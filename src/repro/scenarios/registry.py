@@ -4,8 +4,8 @@ A *scenario family* is a named, parameterized generator of runnable
 scenarios: given a declarative :class:`GeneratorSpec` — family name,
 parameter overrides, and a seed — it produces the exact JSON shape
 :func:`repro.scenario.parse_scenario` accepts.  Everything downstream
-(``sweep --family``, grid files, the tournament, the pinned perf/
-validate matrices) enumerates *specs*, not hand-written task lists, so
+(``sweep --family``, grid files, the tournament, the pinned
+validate matrix) enumerates *specs*, not hand-written task lists, so
 arrival-process and adversarial workloads flow through the same cache,
 journal, and oracle machinery as the static Table-2 mixes.
 

@@ -464,7 +464,7 @@ class System:
     # and the state block, tasks on runqueues and in slots — survive via
     # the pickle memo.  Only the derived attributes in _DERIVED_ATTRS
     # are dropped and rebuilt, so a restored system continues the run
-    # bit-identically (asserted per pinned perf scenario in
+    # bit-identically (asserted per pinned scenario in
     # tests/test_resilience_checkpoint.py).
 
     def __getstate__(self) -> dict:

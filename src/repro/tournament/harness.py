@@ -8,16 +8,15 @@ that design space: it races every policy in
 benchmark configurations and emits one deterministic leaderboard,
 ``BENCH_policies.json``.
 
-Determinism rules match the perf harness: the payload carries no
-timings, every cell is keyed by a :class:`~repro.runner.spec.JobSpec`
-whose content hash is stable across processes, and an optional
-differential oracle re-runs every cell on the scalar reference path and
-byte-compares the scalar summaries — so a fast-path regression in any
-policy regime fails the tournament, not just the pinned-policy perf
-set.
+Determinism rules: the payload carries no timings, every cell is
+keyed by a :class:`~repro.runner.spec.JobSpec` whose content hash is
+stable across processes, and an optional differential oracle re-runs
+every cell on the scalar reference path and byte-compares the scalar
+summaries — so a fast-path regression in any policy regime fails the
+tournament, not just ``repro validate``'s pinned-policy set.
 
 Scenario set: each column is derived from one of the eight pinned
-configurations in ``repro.perf.scenarios`` by dropping the axes the
+configurations in ``repro.scenarios.pinned`` by dropping the axes the
 tournament owns (see :func:`_column`).  Because ``mixed-16cpu`` and
 ``mixed-16cpu-baseline`` differ only by pinned policy and duration,
 their tournament columns share a configuration; the duplicate is kept
@@ -38,9 +37,9 @@ from repro.core.policyspec import (
     canonical_policy_value,
     policy_names,
 )
-from repro.perf.scenarios import REFERENCE_SCENARIOS, PinnedScenario
 from repro.runner.executor import JobOutcome, run_grid
 from repro.runner.spec import JobSpec
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, PinnedScenario
 
 SCHEMA = "repro-policies/1"
 
@@ -199,8 +198,7 @@ def run_tournament(
     runs of the same tree produce byte-identical JSON whatever the
     worker count or cache state.  Raises ``RuntimeError`` if any cell
     fails to execute; an oracle mismatch is *reported* (in
-    ``payload["oracle"]``), mirroring the perf harness's exit-code
-    contract.
+    ``payload["oracle"]``); the CLI turns it into exit code 1.
     """
     scenarios = tuple(scenarios) if scenarios else TOURNAMENT_SCENARIOS
     lineup = [
@@ -273,9 +271,10 @@ def run_tournament(
 
 def write_policies_json(payload: dict, path: str = "BENCH_policies.json") -> str:
     """Write the payload (sorted keys, trailing newline); returns the path."""
-    from repro.perf.harness import write_bench_json
-
-    return write_bench_json(payload, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def format_policy_report(payload: dict) -> str:

@@ -17,7 +17,7 @@ Three complementary instruments over the same simulator:
   first-divergence reporting.
 
 ``python -m repro validate`` (see :mod:`repro.validate.runner`) runs
-the full matrix over the pinned perf scenarios.
+the full matrix over the pinned scenarios.
 """
 
 from repro.validate.faults import FaultInjector, FaultPlan, load_fault_plans

@@ -169,14 +169,14 @@ def fleet_oracle_check(
     probe_every: int = 1,
     first_seed: int = 1,
 ) -> FleetOracleReport:
-    """Run the lockstep check on the pinned fleet benchmark config.
+    """Run the lockstep check on the pinned fleet configuration.
 
-    A scaled-down (``n_machines`` wide, ``duration_s`` long) instance
-    of :data:`repro.perf.scenarios.FLEET_SCENARIO`, so the validated
-    configuration is the benchmarked configuration.
+    ``n_machines`` members of
+    :data:`repro.scenarios.pinned.FLEET_SCENARIO`, seeds
+    ``first_seed`` onwards, advanced ``duration_s`` simulated seconds.
     """
-    from repro.perf.scenarios import FLEET_SCENARIO
     from repro.scenario import parse_scenario
+    from repro.scenarios.pinned import FLEET_SCENARIO
 
     def make_builder(seed: int) -> Callable[[], System]:
         def build() -> System:

@@ -1,14 +1,15 @@
 """Differential oracle: fast vs. scalar replay and metamorphic checks.
 
-The perf harness asserts that the batched and scalar tick loops agree on
-the *final* summary; this module strengthens that into a per-tick
-lockstep oracle.  Two systems are built from the same (config, workload,
-policy) triple — one per tick path — and advanced tick by tick.  After
-each tick a canonical probe of the machine state (per-CPU powers, the
-thermal EWMA column, package temperatures, runqueue lengths, job and
-migration counters) is compared *exactly*: the paths are bit-identical
-by construction, so the first unequal probe pinpoints the tick a
-regression was introduced, not just that one happened.
+``repro validate`` checks here that the batched and scalar tick loops
+agree, tick by tick and not only on the final summary (which
+:func:`replay_pair` also compares byte for byte).  Two systems are built
+from the same (config, workload, policy) triple — one per tick path —
+and advanced in lockstep.  After each tick a canonical probe of the
+machine state (per-CPU powers, the thermal EWMA column, package
+temperatures, runqueue lengths, job and migration counters) is compared
+*exactly*: the paths are bit-identical by construction, so the first
+unequal probe pinpoints the tick a regression was introduced, not just
+that one happened.
 
 The metamorphic check exploits a symmetry of the model rather than a
 second implementation: with counter jitter disabled and every task

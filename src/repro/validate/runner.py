@@ -1,4 +1,4 @@
-"""The full validation matrix over the pinned perf scenarios.
+"""The full validation matrix over the pinned scenarios.
 
 ``python -m repro validate`` drives this module.  For every reference
 scenario it runs:
@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 
 from repro.api import SimulationResult
 from repro.core.policyspec import canonical_policy_value
-from repro.perf.scenarios import REFERENCE_SCENARIOS, PinnedScenario
 from repro.scenario import parse_scenario
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, PinnedScenario
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.system import System
@@ -137,7 +137,7 @@ def run_validation(
 ) -> dict:
     """Run the matrix; returns the report payload.
 
-    ``duration_s=None`` uses each scenario's pinned perf duration (the
+    ``duration_s=None`` uses each scenario's pinned duration (the
     exhaustive mode); the default trims every scenario to
     :data:`SHORT_DURATION_S`.
     """

@@ -78,7 +78,7 @@ class ProgramSpec:
     wobble_interval_s:
         Busy time between wobble resamples (Table 1's successive
         timeslices).  Coarser intervals give steadier power draw; the
-        fleet perf scenarios use them to model steady-state tasks.
+        pinned fleet scenario uses them to model steady-state tasks.
     spike_probability:
         For ``spiky`` programs: chance of an excursion after each base
         dwell.

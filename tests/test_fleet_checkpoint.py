@@ -13,8 +13,8 @@ import json
 import pytest
 
 from repro.fleet import FLEET_CHECKPOINT_SCHEMA, FleetEngine
-from repro.perf.scenarios import FLEET_SCENARIO
 from repro.scenario import parse_scenario
+from repro.scenarios.pinned import FLEET_SCENARIO
 from repro.system import System
 
 SEEDS = (1, 2, 3)

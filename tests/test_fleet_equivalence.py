@@ -17,8 +17,8 @@ from repro.config import SystemConfig
 from repro.cpu.power import PowerModelParams
 from repro.cpu.throttle import ThrottleConfig
 from repro.fleet import FleetEngine, FleetUnsupported, check_fleet_supported
-from repro.perf.scenarios import FLEET_SCENARIO
 from repro.scenario import parse_scenario
+from repro.scenarios.pinned import FLEET_SCENARIO
 from repro.system import System
 from repro.validate.fleet import fleet_lockstep, fleet_oracle_check
 from repro.workloads.generator import steady_mix_workload

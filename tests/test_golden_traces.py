@@ -1,6 +1,6 @@
 """Golden-trace regression tests.
 
-One short canonical trace per pinned perf scenario lives under
+One short canonical trace per pinned scenario lives under
 ``tests/golden/``.  Replaying a scenario must reproduce its committed
 payload *byte-identically* — summary scalars, sorted counters, event
 count, and the SHA-256 of the full event log.  Any drift means the
@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.perf.scenarios import REFERENCE_SCENARIOS
+from repro.scenarios.pinned import REFERENCE_SCENARIOS
 from repro.validate.runner import GOLDEN_SCHEMA, golden_trace
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"

@@ -1,10 +1,9 @@
 """The ``trace`` and ``explain`` subcommands and the shared ``--json``
 report envelope.
 
-Satellite (c)'s contract: every machine-readable CLI output — ``perf``,
-``validate``, ``trace``, ``explain`` — is wrapped in the same
-``{"schema", "generated_by", "payload"}`` envelope, asserted here for
-all four.
+Every machine-readable CLI output — ``validate``, ``trace``,
+``explain`` — is wrapped in the same ``{"schema", "generated_by",
+"payload"}`` envelope, asserted here for all three.
 """
 
 import json
@@ -76,14 +75,6 @@ class TestParser:
 
 
 class TestEnvelopeOnAllSubcommands:
-    def test_perf_json(self, tmp_path, capsys):
-        code = main(["perf", "--scenario", FAST_SCENARIO,
-                     "--duration", "1",
-                     "--output", str(tmp_path / "bench.json"), "--json"])
-        assert code == 0
-        payload = _envelope(capsys)
-        assert payload["schema"] == "repro-perf/3"
-
     def test_validate_json(self, capsys):
         code = main(["validate", "--scenario", FAST_SCENARIO,
                      "--duration", "1", "--skip-faults", "--json"])

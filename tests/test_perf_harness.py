@@ -1,12 +1,11 @@
-"""Tests for the perf benchmark harness and fast/scalar path parity.
+"""Fast/scalar path parity and the pinned scenario table.
 
-The contract under test is the tentpole's correctness bar: the batched
-fast path must produce a ``scalar_summary()`` byte-identical to the
-scalar reference for every supported configuration, and everything in
-``BENCH_perf.json`` except the timings must be deterministic.
+The batched fast path must produce a ``scalar_summary()``
+byte-identical to the scalar reference for every supported
+configuration, and observability must not change a bit of it.
+``repro validate`` checks the same contract per tick on the pinned
+scenarios; these cases cover the configurations between them.
 """
-
-import json
 
 import pytest
 
@@ -18,22 +17,14 @@ from repro import (
     run_simulation,
     single_program_workload,
 )
-from repro.perf import (
-    HEADLINE_SCENARIO,
-    REFERENCE_SCENARIOS,
-    run_benchmarks,
-    scenario_by_name,
-    strip_timings,
-)
+from repro.cli import build_parser
 from repro.scenario import parse_scenario
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, scenario_by_name
 from repro.sim.trace import CounterSet
+from repro.validate.oracle import summary_bytes
 
 DURATION_S = 5.0
-
-
-def _encode(summary):
-    """Byte-level canonical form; floats equal only if bit-identical."""
-    return json.dumps(summary, sort_keys=True)
+HEADLINE_SCENARIO = "mixed-16cpu"
 
 
 def _run_both(config, workload, policy):
@@ -55,7 +46,7 @@ class TestFastScalarEquality:
             seed=seed,
         )
         fast, scalar = _run_both(config, mixed_table2_workload(2), policy)
-        assert _encode(fast.scalar_summary()) == _encode(
+        assert summary_bytes(fast.scalar_summary()) == summary_bytes(
             scalar.scalar_summary()
         )
 
@@ -72,7 +63,7 @@ class TestFastScalarEquality:
             throttle=ThrottleConfig(enabled=True, scope=scope, mode=mode),
         )
         fast, scalar = _run_both(config, mixed_table2_workload(2), "energy")
-        assert _encode(fast.scalar_summary()) == _encode(
+        assert summary_bytes(fast.scalar_summary()) == summary_bytes(
             scalar.scalar_summary()
         )
 
@@ -85,54 +76,6 @@ class TestFastScalarEquality:
         assert (fast.system.tracer.counters.as_dict()
                 == scalar.system.tracer.counters.as_dict())
         assert fast.max_temperature_c == scalar.max_temperature_c
-
-
-class TestBenchPayloadDeterminism:
-    @pytest.fixture(scope="class")
-    def payloads(self):
-        scenario = scenario_by_name(HEADLINE_SCENARIO)
-        return [
-            run_benchmarks([scenario], duration_s=2.0)
-            for _ in range(2)
-        ]
-
-    def test_everything_but_timing_is_reproducible(self, payloads):
-        first, second = (strip_timings(p) for p in payloads)
-        assert first == second
-
-    def test_summaries_identical_flag(self, payloads):
-        assert payloads[0]["all_summaries_identical"] is True
-        for scenario in payloads[0]["scenarios"]:
-            assert scenario["summary_identical"] is True
-
-    def test_payload_shape(self, payloads):
-        payload = payloads[0]
-        assert payload["schema"] == "repro-perf/3"
-        assert payload["headline"]["name"] == HEADLINE_SCENARIO
-        timing = payload["headline"]["timing"]
-        assert set(timing) == {"fast_ticks_per_s", "scalar_ticks_per_s",
-                               "speedup_vs_scalar"}
-        (scenario,) = payload["scenarios"]
-        assert scenario["ticks"] == 200  # 2 s at the 10 ms default tick
-        assert set(scenario["scalar_summary"])  # non-empty summary
-
-    def test_self_profile_shape(self, payloads):
-        profile = payloads[0]["self_profile"]
-        assert profile["name"] == HEADLINE_SCENARIO
-        assert profile["duration_s"] == 2.0
-        for path in ("fast", "scalar"):
-            report = profile[path]
-            assert report["ticks"] == 200
-            assert report["timed_total_s"] > 0.0
-            assert "execute" in report["phases"]
-            for entry in report["phases"].values():
-                assert set(entry) == {"total_s", "calls", "mean_us",
-                                      "fraction"}
-
-    def test_strip_timings_excludes_self_profile(self, payloads):
-        # The phase breakdown is wall-clock data; it must never leak
-        # into the deterministic subset.
-        assert "self_profile" not in strip_timings(payloads[0])
 
 
 class TestObsNeutrality:
@@ -152,7 +95,7 @@ class TestObsNeutrality:
         result = run_simulation(scenario.config, scenario.workload,
                                 policy=scenario.policy, duration_s=2.0,
                                 **kwargs)
-        return _encode(result.scalar_summary())
+        return summary_bytes(result.scalar_summary())
 
     @pytest.mark.parametrize("name", NAMES)
     def test_obs_disabled_matches_no_kwarg(self, name):
@@ -174,38 +117,14 @@ class TestObsNeutrality:
 class TestScenarioRegistry:
     def test_headline_is_registered(self):
         names = [s.name for s in REFERENCE_SCENARIOS]
-        assert HEADLINE_SCENARIO in names
         assert len(names) == len(set(names))
+        for command in ("trace", "explain"):
+            default = build_parser().parse_args([command]).scenario
+            assert default in names
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match=HEADLINE_SCENARIO):
             scenario_by_name("no-such-scenario")
-
-
-class TestPerfCliVerdicts:
-    """``repro perf`` exits 1 with one error line on a false verdict."""
-
-    @pytest.mark.parametrize("scenarios_ok,fleet_ok,message", [
-        (False, True, "fast path diverged"),
-        (True, False, "fleet members diverged"),
-    ], ids=["scenarios", "fleet"])
-    def test_false_verdict_fails(self, scenarios_ok, fleet_ok, message,
-                                 tmp_path, monkeypatch, capsys):
-        import repro.perf
-        from repro.cli import main
-
-        payload = {"schema": "repro-perf/3",
-                   "all_summaries_identical": scenarios_ok,
-                   "fleet": {"members_identical": fleet_ok}}
-        monkeypatch.setattr(repro.perf, "run_benchmarks",
-                            lambda scenarios, duration_s: payload)
-        code = main(["perf", "--json",
-                     "--output", str(tmp_path / "bench.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"error: {message} from the scalar reference" \
-            in err.splitlines()
-        assert json.loads((tmp_path / "bench.json").read_text()) == payload
 
 
 class TestCounterDefaults:

@@ -1,7 +1,7 @@
 """Checkpoint/resume: bit-identity, on-disk format, and version policy.
 
 The load-bearing assertion is `test_checkpoint_resume_bit_identity`:
-for every pinned perf scenario, on both tick paths, a run checkpointed
+for every pinned scenario, on both tick paths, a run checkpointed
 mid-duration and resumed yields a `scalar_summary()` and event trace
 byte-identical to the uninterrupted run.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.api import run_simulation
-from repro.perf.scenarios import REFERENCE_SCENARIOS, scenario_by_name
 from repro.resilience import (
     CheckpointError,
     load_checkpoint,
@@ -24,6 +23,7 @@ from repro.resilience import (
 )
 from repro.runner.cache import code_salt
 from repro.scenario import parse_scenario
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, scenario_by_name
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngFactory

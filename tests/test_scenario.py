@@ -157,6 +157,41 @@ class TestRunning:
         assert "unknown policy 'quantum'" in err
 
 
+class TestMalformedInput:
+    """A malformed file ends in one ``repro: error:`` line (exit 2),
+    never a traceback."""
+
+    @pytest.mark.parametrize("command,document", [
+        (["run-file"], {**BASE, "duration_s": -1}),
+        (["explain", "--file"], {**BASE, "duration_s": -1}),
+        (["run-file"], [1, 2]),
+        (["trace", "--file"], [1, 2]),
+        (["run-file"], {**BASE, "machine": "ibm_x445"}),
+        (["batch", "--no-cache"], [1, 2]),
+    ], ids=["run-file-negative-duration", "explain-negative-duration",
+            "run-file-list", "trace-list", "run-file-machine-string",
+            "batch-list"])
+    def test_one_error_line(self, command, document, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("duration", [0, float("nan"), float("inf"),
+                                          None, "soon"])
+    def test_parse_scenario_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            parse_scenario({**BASE, "duration_s": duration})
+
+
 class TestCadenceAndNoiseKnobs:
     """The optional SystemConfig pass-through keys (fleet scenarios pin
     the noise sigmas to zero through these)."""

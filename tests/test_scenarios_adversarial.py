@@ -16,9 +16,9 @@ import pytest
 
 from repro.analysis.export import run_summary
 from repro.api import run_simulation
-from repro.perf.scenarios import REFERENCE_SCENARIOS, scenario_by_name
 from repro.scenario import parse_scenario
 from repro.scenarios import adversarial_search
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, scenario_by_name
 
 PINNED_ADVERSARIAL = ("adv-pingpong", "adv-throttle-storm")
 STATIC = tuple(

@@ -1,6 +1,6 @@
 """Differential oracles over generated scenarios.
 
-The generator families feed workload shapes the hand-written perf set
+The generator families feed workload shapes the hand-written pinned set
 never exercises (open-loop churn, sporadic releases, rotating
 affinity), so each family is pushed through the fast-vs-scalar replay
 oracle across policies and seeds, and the fleet-eligible families

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf.scenarios import REFERENCE_SCENARIOS, scenario_by_name
+from repro.scenarios.pinned import REFERENCE_SCENARIOS, scenario_by_name
 from repro.tournament import (
     POLICY_LINEUP,
     SCHEMA,

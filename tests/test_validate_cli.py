@@ -6,11 +6,12 @@ classification the happy path can't reach.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.perf.scenarios import scenario_by_name
+from repro.scenarios.pinned import scenario_by_name
 from repro.validate import FaultPlan
 from repro.validate.runner import (
     SCHEMA,
@@ -90,6 +91,27 @@ class TestValidateCommand:
         payload = json.loads(report.read_text())
         assert payload["schema"] == SCHEMA
         assert [s["name"] for s in payload["scenarios"]] == [FAST_SCENARIO]
+
+    def test_fast_path_divergence_fails(self, monkeypatch, capsys):
+        # One ulp on one package temperature, on the fast path only: the
+        # per-tick oracle must report the scenario as diverged.
+        from repro.system import System
+
+        thermal_step_fast = System._thermal_step_fast
+
+        def nudged(self, clock):
+            thermal_step_fast(self, clock)
+            rc = self.true_rc[0]
+            rc._temp_c = math.nextafter(rc._temp_c, math.inf)
+            self._pkg_temp_c[0] = rc._temp_c
+
+        monkeypatch.setattr(System, "_thermal_step_fast", nudged)
+        code = main(["validate", "--scenario", FAST_SCENARIO,
+                     "--duration", "1", "--skip-faults"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "oracle:DIVERGED" in out
+        assert f"{FAST_SCENARIO}/oracle: fast and scalar paths diverged" in out
 
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):

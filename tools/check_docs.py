@@ -1,44 +1,37 @@
 #!/usr/bin/env python3
 """Check the docs against the code and the committed benchmark numbers.
 
-Seven classes of drift have bitten this repo or would, and each is a
+Six classes of drift have bitten this repo or would, and each is a
 build failure instead of a review comment:
 
-1. **Stale performance claims.** Every headline number the docs cite
-   (ticks/s, speedups, the real-time factor) must match the committed
-   ``BENCH_perf.json``, under the docs' own rounding convention:
-   ticks/s to the nearest 100 (nearest 1,000 for the fleet aggregate,
-   which is two orders of magnitude larger), speedups to one decimal.
-   Regenerate the docs' numbers after ``python -m repro perf``.
-
-2. **A stale ledger baseline.** The "Ledger baseline" table of
+1. **A stale ledger baseline.** The "Ledger baseline" table of
    ``docs/performance.md`` must cite the revision of the newest
    ``repro-history/2`` entry of ``BENCH_history.jsonl`` and, per
    workload, its medians of the four throughput and wall-time metrics,
    rounded as ``tools/bench_ledger.py`` prints them.  Update the table
    after ``python3 tools/bench_ledger.py record``.
 
-3. **Undocumented subsystems.** Every subpackage of ``src/repro/``
+2. **Undocumented subsystems.** Every subpackage of ``src/repro/``
    must be mentioned by name (``repro.<pkg>``) in
    ``docs/architecture.md`` — the architecture doc is the map, and a
    subsystem missing from the map is invisible to new readers.
 
-4. **Stale tournament leaderboards.** The policy table in
+3. **Stale tournament leaderboards.** The policy table in
    ``docs/policies.md`` (rank, mean energy to one decimal kJ, jobs/min
    to two decimals, throttle %, frequency scale, wins) must match the
    committed ``BENCH_policies.json``. Regenerate the table after
    ``python -m repro tournament``.
 
-5. **Stale scenario-family catalogs.** Every family registered in
+4. **Stale scenario-family catalogs.** Every family registered in
    ``repro.scenarios`` must appear in ``docs/scenarios.md``'s family
    table, with its fleet-eligibility documented consistently.
 
-6. **Undocumented run events.** Every event kind the telemetry bus
+5. **Undocumented run events.** Every event kind the telemetry bus
    can carry (``repro.obs.events.EVENT_KINDS``) must appear in the
    kind catalog of ``docs/live_telemetry.md``, and the doc must not
    list kinds the bus no longer knows.
 
-7. **Stale paper-vs-measured numbers.** The "ours" numbers EXPERIMENTS.md
+6. **Stale paper-vs-measured numbers.** The "ours" numbers EXPERIMENTS.md
    cites for Table 3 (average throttling and both throughput gains),
    Figures 8 and 10 and the Figures 6/7 migration counts must equal the
    committed ``benchmarks/results/`` files at one decimal.  Update the
@@ -55,7 +48,6 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-BENCH = REPO / "BENCH_perf.json"
 BENCH_POLICIES = REPO / "BENCH_policies.json"
 LEDGER_METRICS = ("machine_ticks_per_s", "cold_jobs_per_s",
                   "warm_jobs_per_s", "wall_s")
@@ -68,63 +60,6 @@ EXPERIMENTS_DOC = REPO / "EXPERIMENTS.md"
 RESULTS_DIR = REPO / "benchmarks" / "results"
 
 errors: list[str] = []
-
-
-def _fmt(value: float, nearest: int) -> str:
-    return f"{round(value / nearest) * nearest:,.0f}"
-
-
-def _expect(doc: Path, text: str, pattern: str, label: str,
-            expected: str) -> None:
-    match = re.search(pattern, text)
-    if not match:
-        errors.append(f"{doc.name}: no line matching {label!r} "
-                      f"(pattern {pattern!r})")
-        return
-    cited = match.group(1)
-    if cited != expected:
-        errors.append(f"{doc.name}: {label} cites {cited!r} but "
-                      f"BENCH_perf.json says {expected!r}")
-
-
-def check_perf_numbers() -> None:
-    bench = json.loads(BENCH.read_text())
-    headline = bench["headline"]["timing"]
-    fleet = bench["fleet"]["timing"]
-    perf_text = PERF_DOC.read_text()
-    arch_text = ARCH_DOC.read_text()
-
-    _expect(PERF_DOC, perf_text,
-            r"\| scalar reference path \| ~([\d,]+) ticks/s",
-            "scalar reference ticks/s",
-            _fmt(headline["scalar_ticks_per_s"], 100))
-    _expect(PERF_DOC, perf_text,
-            r"\| batched fast path \| ~([\d,]+) ticks/s",
-            "batched fast path ticks/s",
-            _fmt(headline["fast_ticks_per_s"], 100))
-    _expect(PERF_DOC, perf_text,
-            r"\| batched fast path \|[^|]*~(\d+\.\d)x vs scalar",
-            "fast-path speedup",
-            f"{headline['speedup_vs_scalar']:.1f}")
-    _expect(PERF_DOC, perf_text,
-            r"\| fleet engine[^|]*\| ~([\d,]+) machine-ticks/s",
-            "fleet aggregate machine-ticks/s",
-            _fmt(fleet["fleet_machine_ticks_per_s"], 1000))
-    _expect(PERF_DOC, perf_text,
-            r"\| fleet engine[^|]*\|[^|]*~(\d+\.\d)x vs per-job",
-            "fleet speedup",
-            f"{fleet['speedup_vs_per_job']:.1f}")
-
-    # architecture.md cites the real-time factor of the headline
-    # scenario: ticks/s x 10 ms per tick / 1000 ms.
-    _expect(ARCH_DOC, arch_text,
-            r"~(\d+)x real time",
-            "real-time factor",
-            str(round(headline["fast_ticks_per_s"] / 100)))
-    _expect(ARCH_DOC, arch_text,
-            r"~\d+x real time \(~([\d,]+) ticks/s\)",
-            "architecture ticks/s",
-            _fmt(headline["fast_ticks_per_s"], 100))
 
 
 def check_ledger_numbers() -> None:
@@ -313,7 +248,6 @@ def check_experiment_numbers() -> None:
 
 
 def main() -> int:
-    check_perf_numbers()
     check_ledger_numbers()
     check_policy_numbers()
     check_subpackage_coverage()
@@ -324,9 +258,9 @@ def main() -> int:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
-    print("docs are consistent with BENCH_perf.json, "
-          "BENCH_history.jsonl, BENCH_policies.json, benchmarks/results/, "
-          "repro.scenarios, repro.obs.events, and src/repro/")
+    print("docs are consistent with BENCH_history.jsonl, "
+          "BENCH_policies.json, benchmarks/results/, repro.scenarios, "
+          "repro.obs.events, and src/repro/")
     return 0
 
 

@@ -8,7 +8,7 @@ migrations/s x throttle fraction (worst first).  The whole run is a
 pure function of ``(--candidates, --seed, --duration)`` — re-running
 with the same arguments prints byte-identical output.
 
-The two pinned offenders in ``repro.perf.scenarios``
+The two pinned offenders in ``repro.scenarios.pinned``
 (``adv-pingpong``, ``adv-throttle-storm``) came out of this search;
 re-run it after simulator changes to check they are still the worst,
 and pass ``--json`` to get machine-readable specs for pinning::

@@ -586,6 +586,28 @@ def _aggregate_json(summaries) -> dict:
     }
 
 
+def _check_scenarios(parser, specs) -> None:
+    """Parse each distinct scenario job once, before any job runs.
+
+    A scenario that cannot build would fail, and be retried, once per
+    seed; one usage error (exit 2) names it instead.
+    """
+    from repro.runner.executor import parse_scenario_spec
+
+    seen = set()
+    for spec in specs:
+        if spec.scenario is None:
+            continue
+        key = spec.content_hash()
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            parse_scenario_spec(spec)
+        except (ValueError, KeyError) as exc:
+            parser.error(f"cannot build scenario {spec.label}: {exc}")
+
+
 def _cmd_sweep(parser, args) -> int:
     from repro.analysis.report import format_scalar_summaries
     from repro.analysis.stats import summarize_scalars
@@ -640,6 +662,11 @@ def _cmd_sweep(parser, args) -> int:
         path = pathlib.Path(args.scenario)
         try:
             data = json.loads(path.read_text())
+            if not isinstance(data, dict):
+                raise ValueError(
+                    "a scenario must be a JSON object, not "
+                    f"{type(data).__name__}"
+                )
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read scenario {args.scenario}: {exc}")
         data.setdefault("name", path.stem)
@@ -651,6 +678,7 @@ def _cmd_sweep(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         experiment = data["name"]
+        _check_scenarios(parser, specs)
     else:
         if args.experiment is None:
             parser.error("an experiment name is required "
@@ -725,6 +753,7 @@ def _cmd_batch(parser, args) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load grid {args.path!r}: {exc}")
         flat = [spec for entry in entries for spec in entry.specs]
+        _check_scenarios(parser, flat)
         command_args = {"path": str(args.path)}
     report = _run_jobs(parser, args, flat, command="batch",
                        command_args=command_args)

@@ -21,6 +21,7 @@ migrating the task to a cool CPU, which costs nothing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -95,36 +96,38 @@ def dynamic_power_scale(freq_scale: float) -> float:
     return freq_scale ** 3
 
 
-class DvfsController:
-    """Per-CPU frequency governor holding thermal power at the limit.
+class _StaircaseGovernor:
+    """Per-CPU frequency ladder moved at most one level per tick.
 
-    One step per update, like the staircase governors of the era: step
-    down whenever thermal power exceeds the limit, step up when there is
-    comfortable headroom.
+    The shared state machine of both governors: step down while the
+    controlled value exceeds its limit, step back up once it has fallen
+    ``step_up_margin`` below.  Subclasses name the value and its margin.
     """
 
-    def __init__(self, n_cpus: int, config: DvfsConfig | None = None) -> None:
+    def __init__(self, n_cpus: int, config) -> None:
         if n_cpus < 1:
             raise ValueError("need at least one CPU")
-        self.config = config if config is not None else DvfsConfig()
+        self.config = config
         self._level_index = [0] * n_cpus
         self._scaled_ticks = [0] * n_cpus
         self._total_ticks = [0] * n_cpus
         self._scale_sum = [0.0] * n_cpus
 
+    @property
+    def step_up_margin(self) -> float:
+        raise NotImplementedError
+
     def scale(self, cpu_id: int) -> float:
         """Current relative frequency of a CPU."""
         return self.config.levels[self._level_index[cpu_id]]
 
-    def update(self, cpu_id: int, thermal_power_w: float, limit_w: float) -> float:
-        """Advance one tick; returns the frequency scale to run at."""
+    def _update(self, cpu_id: int, value: float, limit: float) -> float:
+        """Advance one CPU one tick; the per-CPU reference for :meth:`step`."""
         self._total_ticks[cpu_id] += 1
         index = self._level_index[cpu_id]
-        if thermal_power_w > limit_w and index < len(self.config.levels) - 1:
+        if value > limit and index < len(self.config.levels) - 1:
             index += 1
-        elif (
-            thermal_power_w < limit_w - self.config.step_up_margin_w and index > 0
-        ):
+        elif value < limit - self.step_up_margin and index > 0:
             index -= 1
         self._level_index[cpu_id] = index
         if index > 0:
@@ -132,6 +135,38 @@ class DvfsController:
         scale = self.config.levels[index]
         self._scale_sum[cpu_id] += scale
         return scale
+
+    def step(
+        self, values: Sequence[float], limits: Sequence[float]
+    ) -> list[int]:
+        """Advance every CPU one tick; return the CPUs whose level moved.
+
+        Same state and statistics as one per-CPU update in ascending
+        order; the moved CPUs come back ascending.
+        """
+        levels = self.config.levels
+        bottom = len(levels) - 1
+        margin = self.step_up_margin
+        level_index = self._level_index
+        scaled_ticks = self._scaled_ticks
+        total = self._total_ticks
+        scale_sum = self._scale_sum
+        moved = []
+        for c in range(len(level_index)):
+            total[c] += 1
+            index = level_index[c]
+            if values[c] > limits[c] and index < bottom:
+                index += 1
+                level_index[c] = index
+                moved.append(c)
+            elif values[c] < limits[c] - margin and index > 0:
+                index -= 1
+                level_index[c] = index
+                moved.append(c)
+            if index > 0:
+                scaled_ticks[c] += 1
+            scale_sum[c] += levels[index]
+        return moved
 
     def scaled_fraction(self, cpu_id: int) -> float:
         """Fraction of time the CPU ran below full frequency."""
@@ -148,7 +183,27 @@ class DvfsController:
         return self._scale_sum[cpu_id] / total if total else 1.0
 
 
-class TemperatureDvfsController:
+class DvfsController(_StaircaseGovernor):
+    """Per-CPU frequency governor holding thermal power at the limit.
+
+    One step per update, like the staircase governors of the era: step
+    down whenever thermal power exceeds the limit, step up when there is
+    comfortable headroom.
+    """
+
+    def __init__(self, n_cpus: int, config: DvfsConfig | None = None) -> None:
+        super().__init__(n_cpus, config if config is not None else DvfsConfig())
+
+    @property
+    def step_up_margin(self) -> float:
+        return self.config.step_up_margin_w
+
+    def update(self, cpu_id: int, thermal_power_w: float, limit_w: float) -> float:
+        """Advance one tick; returns the frequency scale to run at."""
+        return self._update(cpu_id, thermal_power_w, limit_w)
+
+
+class TemperatureDvfsController(_StaircaseGovernor):
     """Proactive per-CPU governor steering the *estimated* temperature.
 
     Where :class:`DvfsController` reacts to the thermal-power estimate
@@ -163,41 +218,14 @@ class TemperatureDvfsController:
     def __init__(
         self, n_cpus: int, config: ProactiveDvfsConfig | None = None
     ) -> None:
-        if n_cpus < 1:
-            raise ValueError("need at least one CPU")
-        self.config = config if config is not None else ProactiveDvfsConfig()
-        self._level_index = [0] * n_cpus
-        self._scaled_ticks = [0] * n_cpus
-        self._total_ticks = [0] * n_cpus
-        self._scale_sum = [0.0] * n_cpus
+        super().__init__(
+            n_cpus, config if config is not None else ProactiveDvfsConfig()
+        )
 
-    def scale(self, cpu_id: int) -> float:
-        """Current relative frequency of a CPU."""
-        return self.config.levels[self._level_index[cpu_id]]
+    @property
+    def step_up_margin(self) -> float:
+        return self.config.step_up_margin_c
 
     def update(self, cpu_id: int, est_temp_c: float, target_c: float) -> float:
         """Advance one tick; returns the frequency scale to run at."""
-        self._total_ticks[cpu_id] += 1
-        index = self._level_index[cpu_id]
-        if est_temp_c > target_c and index < len(self.config.levels) - 1:
-            index += 1
-        elif (
-            est_temp_c < target_c - self.config.step_up_margin_c and index > 0
-        ):
-            index -= 1
-        self._level_index[cpu_id] = index
-        if index > 0:
-            self._scaled_ticks[cpu_id] += 1
-        scale = self.config.levels[index]
-        self._scale_sum[cpu_id] += scale
-        return scale
-
-    def scaled_fraction(self, cpu_id: int) -> float:
-        """Fraction of time the CPU ran below full frequency."""
-        total = self._total_ticks[cpu_id]
-        return self._scaled_ticks[cpu_id] / total if total else 0.0
-
-    def mean_scale(self, cpu_id: int) -> float:
-        """Mean relative frequency over the CPU's governed ticks."""
-        total = self._total_ticks[cpu_id]
-        return self._scale_sum[cpu_id] / total if total else 1.0
+        return self._update(cpu_id, est_temp_c, target_c)

@@ -23,6 +23,36 @@ from repro.cpu.events import N_EVENTS
 #: Width of the Pentium 4's performance counters.
 COUNTER_BITS = 40
 
+#: Bound on |z| of one ``random.gauss`` draw: Box-Muller scales by
+#: ``sqrt(-2 ln(1 - u))`` and ``1 - u >= 2**-53``, so
+#: ``|z| <= sqrt(106 ln 2) = 8.5717...``.
+GAUSS_Z_BOUND = 8.58
+
+
+def jitter_bound(sigma: float) -> float:
+    """Largest factor :meth:`CounterBank.draw_jitter` can return."""
+    return 1.0 + GAUSS_Z_BOUND * sigma
+
+
+def wrap_horizon(counts: np.ndarray, modulus: float, max_increment: float) -> int:
+    """Ticks the registers can be credited before one could wrap.
+
+    ``counts`` was just reduced below ``modulus`` and each later tick
+    adds at most ``max_increment`` to any register, once.  For the
+    returned number of ticks every register stays below the modulus, so
+    ``counts %= modulus`` is the bitwise identity and may be skipped;
+    the tick after them must reduce again.  Each addition below the
+    modulus rounds up by at most ``modulus * 2**-53``, which widens the
+    per-tick step, and three spare steps absorb the rounding of the
+    division.  A NaN register (a corrupted counter) gives 0: reduce
+    every tick.  Both tick engines use this one rule.
+    """
+    top = float(counts.max())
+    if not top < modulus:
+        return 0
+    step = max(max_increment, 1.0) + modulus * 2.0**-53
+    return max(0, int((modulus - top) / step) - 3)
+
 
 class CounterSnapshot:
     """Immutable copy of a counter bank at one instant."""
@@ -109,11 +139,11 @@ class CounterBank:
         """Re-point counter storage at a shared matrix row.
 
         The batched tick path stacks all banks of a system into one
-        matrix so the wraparound reduction runs once per tick instead of
-        once per credit.  The current counts are copied into ``row``;
-        afterwards all in-place mutation happens through the shared
-        storage, so :meth:`credit` and matrix-level updates see the same
-        numbers.
+        matrix so it credits every bank in one operation and reduces
+        only when a register could wrap (:func:`wrap_horizon`).  The
+        current counts are copied into ``row``; afterwards all in-place
+        mutation happens through the shared storage, so :meth:`credit`
+        and matrix-level updates see the same numbers.
         """
         if row.shape != self._counts.shape:
             raise ValueError("row shape does not match the counter bank")

@@ -238,9 +238,11 @@ class TickEnergyCache:
     per-tick cycle count takes one of a handful of values (solo, SMT,
     DVFS-scaled).  Each entry carries everything the execution step
     derives purely from (mix, cycles): the unjittered counter increments
-    ``rates * cycles``, their weighted unit energy, and the mix's
-    ground-truth dynamic power — removing the per-tick numpy allocation
-    and two dot products from the hot loop.
+    ``rates * cycles``, their weighted unit energy, the mix's
+    ground-truth dynamic power, and the largest increment, which bounds
+    how soon a counter register can wrap
+    (:func:`repro.cpu.pmc.wrap_horizon`) — removing the per-tick numpy
+    allocation and two dot products from the hot loop.
 
     Entries key on ``id(mix)`` and verify identity on lookup while
     holding a strong reference to the mix, so a recycled ``id`` can
@@ -250,8 +252,9 @@ class TickEnergyCache:
     everywhere else.
     """
 
-    #: entry layout: (mix, base_increments, unit_energy_nj, dynamic_power_w)
-    Entry = tuple[object, np.ndarray, float, float]
+    #: entry layout: (mix, base_increments, unit_energy_nj,
+    #: dynamic_power_w, max_increment)
+    Entry = tuple[object, np.ndarray, float, float, float]
 
     def __init__(
         self,
@@ -271,7 +274,8 @@ class TickEnergyCache:
         dyn_w = self._power.dynamic_power_w(mix.rates_per_cycle, self._freq_hz)
         if len(self.cache) > 8192:
             self.cache.clear()
-        entry = (mix, base_increments, unit_nj, dyn_w)
+        max_inc = float(base_increments.max())
+        entry = (mix, base_increments, unit_nj, dyn_w, max_inc)
         self.cache[(id(mix), cycles)] = entry
         return entry
 

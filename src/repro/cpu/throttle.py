@@ -15,6 +15,7 @@ work away (§6.4).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -60,9 +61,10 @@ class ThrottleConfig:
 class ThrottleController:
     """Per-logical-CPU on/off throttle state machine.
 
-    The caller supplies each CPU's current thermal power and limit every
-    tick; the controller answers whether the CPU may execute and keeps
-    throttled-time statistics (Table 3 reports these percentages).
+    The caller supplies every CPU's current thermal power and limit each
+    tick (:meth:`step`); the controller answers whether the CPU may
+    execute and keeps throttled-time statistics (Table 3 reports these
+    percentages).
     """
 
     def __init__(self, n_cpus: int, config: ThrottleConfig | None = None) -> None:
@@ -76,7 +78,10 @@ class ThrottleController:
         self._total_ticks = [0] * n_cpus
 
     def update(self, cpu_id: int, thermal_power_w: float, limit_w: float) -> bool:
-        """Advance one tick; return True if the CPU is throttled now."""
+        """Advance one CPU one tick; return True if it is throttled now.
+
+        The per-CPU reference for :meth:`step`.
+        """
         self._total_ticks[cpu_id] += 1
         if not self.config.enabled:
             return False
@@ -89,6 +94,37 @@ class ThrottleController:
         if self.throttled[cpu_id]:
             self._throttled_ticks[cpu_id] += 1
         return self.throttled[cpu_id]
+
+    def step(
+        self, thermal_power_w: Sequence[float], limit_w: Sequence[float]
+    ) -> list[int]:
+        """Advance every CPU one tick; return the CPUs that flipped.
+
+        Same state and statistics as one :meth:`update` per CPU in
+        ascending order; the flipped CPUs come back ascending.
+        """
+        total = self._total_ticks
+        if not self.config.enabled:
+            for c in range(self.n_cpus):
+                total[c] += 1
+            return []
+        hysteresis = self.config.hysteresis_w
+        throttled = self.throttled
+        throttled_ticks = self._throttled_ticks
+        flipped = []
+        for c in range(self.n_cpus):
+            total[c] += 1
+            if throttled[c]:
+                if thermal_power_w[c] <= limit_w[c] - hysteresis:
+                    throttled[c] = False
+                    flipped.append(c)
+                else:
+                    throttled_ticks[c] += 1
+            elif thermal_power_w[c] > limit_w[c]:
+                throttled[c] = True
+                throttled_ticks[c] += 1
+                flipped.append(c)
+        return flipped
 
     def is_throttled(self, cpu_id: int) -> bool:
         return self.throttled[cpu_id]

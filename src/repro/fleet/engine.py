@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.core.ewma import thermal_alpha
 from repro.core.policy import balance_can_move
+from repro.cpu.pmc import wrap_horizon
 from repro.cpu.thermal import rc_decay
 from repro.sim.clock import Clock
 from repro.system import System
@@ -333,11 +334,11 @@ class FleetEngine:
         self._have_cold = False
         self._b_full = np.full((M, C), tick_s)
         self._ts_full = np.full((M, C), float(self.tick_ms))
-        # counter-modulus amortisation: the remainder is the identity
-        # while every counter is below the modulus; countdown is a safe
-        # lower bound on ticks until any counter could reach it
+        # counter-modulus amortisation (repro.cpu.pmc.wrap_horizon): the
+        # remainder is the identity while every counter is below the
+        # modulus, for _wrap_skip more ticks at _max_inc per tick
         self._max_inc = 0.0
-        self._mod_countdown = 0
+        self._wrap_skip = 0
         self._wake_min = _INF
         self._fork_min = _INF
         ses = set(self.sample_every)
@@ -388,12 +389,14 @@ class FleetEngine:
                 self.pkg_energy[m, p] = sys_._pkg_energy_j[p]
             self.max_err[m] = sys_.max_temp_err_k
             self.max_seen[m] = sys_.max_temp_seen_c
-            # alias the member's counter matrix onto the fleet tensor
+            # alias the member's counter matrix onto the fleet tensor;
+            # the fleet credits it from here on, so the member's own
+            # wrap horizon is void
             self.counts[m, :, :] = sys_._counts_mx
             sys_._counts_mx = self.counts[m]
             for c, bank in enumerate(sys_.banks):
                 bank.bind_row(self.counts[m, c])
-            sys_._bank_rows = [self.counts[m, c] for c in range(C)]
+            sys_._wrap_skip = 0
             self._recompute_wake_next(m)
             self._recompute_fork_next(m)
             for c in range(C):
@@ -662,10 +665,9 @@ class FleetEngine:
                     entry = cache.miss(mix, cyc)
                 self.mix_ref[m][c] = mix
                 self.base_inc[m, c, :] = entry[1]
-                mi = float(entry[1].max())
-                if mi > self._max_inc:
-                    self._max_inc = mi
-                    self._mod_countdown = 0
+                if entry[4] > self._max_inc:
+                    self._max_inc = entry[4]
+                    self._wrap_skip = 0
                 self.unit_nj[m, c] = entry[2]
                 self.dyn_base[m, c] = entry[3]
                 self.ipc[m, c] = mix.ipc
@@ -694,10 +696,9 @@ class FleetEngine:
                 if entry is None or entry[0] is not mix:
                     entry = cache.miss(mix, cyc)
                 self.base_inc[m, c, :] = entry[1]
-                mi = float(entry[1].max())
-                if mi > self._max_inc:
-                    self._max_inc = mi
-                    self._mod_countdown = 0
+                if entry[4] > self._max_inc:
+                    self._max_inc = entry[4]
+                    self._wrap_skip = 0
                 self.unit_nj[m, c] = entry[2]
                 self.dyn_base[m, c] = entry[3]
                 self.cyc_valid[m, c] = cyc
@@ -725,14 +726,14 @@ class FleetEngine:
             self.counts += np.multiply(
                 self.base_inc, r[..., None], out=self._sc_cnt
             )
-        # counters stay below the modulus for _mod_countdown more ticks,
-        # over which the per-tick remainder is the bitwise identity
-        self._mod_countdown -= 1
-        if self._mod_countdown <= 0:
+        # the per-tick remainder is the bitwise identity until the wrap
+        # horizon is spent
+        if self._wrap_skip:
+            self._wrap_skip -= 1
+        else:
             self.counts %= self.modulus
-            mx = float(self.counts.max())
-            self._mod_countdown = max(
-                1, int((self.modulus - mx) / max(self._max_inc, 1.0)) - 2
+            self._wrap_skip = wrap_horizon(
+                self.counts, self.modulus, self._max_inc
             )
         self.interval_e += e_masked
         self.tot_energy += e_masked

@@ -71,17 +71,7 @@ def execute_spec(spec: JobSpec) -> dict:
         return experiment_metrics(
             spec.experiment, duration_s=spec.duration_s, seed=spec.seed
         )
-    from repro.scenario import parse_scenario
-
-    data = spec.scenario_data()
-    obs = bool(data.pop("obs", False))
-    options_data = dict(data.pop("options", None) or {})
-    unknown = set(options_data) - {"fast_path", "validate", "obs"}
-    if unknown:
-        raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
-    if "obs" in options_data:
-        obs = bool(options_data["obs"]) or obs
-    scenario = parse_scenario(data)
+    scenario, options_data, obs = parse_scenario_spec(spec)
     if options_data:
         from repro.api import RunOptions
 
@@ -102,6 +92,27 @@ def execute_spec(spec: JobSpec) -> dict:
         out["metrics"] = result.metrics_snapshot()
         out["audit_sites"] = result.audit.sites_seen()
     return out
+
+
+def parse_scenario_spec(spec: JobSpec) -> tuple:
+    """Parse a scenario spec as its job does: ``(scenario, options, obs)``.
+
+    The merged scenario dict carries two run-option keys, ``obs`` and
+    ``options``, which are split off before :func:`parse_scenario`
+    sees it.  Raises ``ValueError`` (or ``KeyError``) on a scenario
+    that cannot build.
+    """
+    from repro.scenario import parse_scenario
+
+    data = spec.scenario_data()
+    obs = bool(data.pop("obs", False))
+    options_data = dict(data.pop("options", None) or {})
+    unknown = set(options_data) - {"fast_path", "validate", "obs"}
+    if unknown:
+        raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
+    if "obs" in options_data:
+        obs = bool(options_data["obs"]) or obs
+    return parse_scenario(data), options_data, obs
 
 
 def scenario_result(scenario, result) -> dict:

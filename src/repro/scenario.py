@@ -97,6 +97,14 @@ class Scenario:
         )
 
 
+def _block(data: Mapping, key: str, default=None):
+    """``data[key]`` (``default`` when absent), which must be an object."""
+    value = data.get(key, default)
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{key!r} must be a JSON object, not {value!r}")
+    return value
+
+
 def _parse_machine(spec: dict) -> MachineSpec:
     preset = spec.get("preset")
     if preset == "ibm_x445":
@@ -128,6 +136,11 @@ def _parse_thermal(spec, n_packages: int):
                 f"need {n_packages} per-package thermal entries, got {len(spec)}"
             )
         return tuple(_parse_thermal(entry, 1) for entry in spec)
+    if not isinstance(spec, Mapping):
+        raise ValueError(
+            f"'thermal' must be a JSON object or a list of objects, "
+            f"not {spec!r}"
+        )
     return ThermalParams(
         r_k_per_w=float(spec.get("r_k_per_w", 0.30)),
         c_j_per_k=float(spec.get("c_j_per_k", 66.7)),
@@ -136,6 +149,8 @@ def _parse_thermal(spec, n_packages: int):
 
 
 def _parse_task(entry: dict) -> TaskSpec:
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"each task must be a JSON object, not {entry!r}")
     return TaskSpec(
         program=program(entry["program"]),
         arrival_s=float(entry.get("arrival_s", 0.0)),
@@ -155,6 +170,10 @@ def _parse_task(entry: dict) -> TaskSpec:
 
 def _parse_workload(spec: dict) -> WorkloadSpec:
     if "tasks" in spec:
+        if not isinstance(spec["tasks"], list):
+            raise ValueError(
+                f"'tasks' must be a JSON list, not {spec['tasks']!r}"
+            )
         tasks = tuple(_parse_task(entry) for entry in spec["tasks"])
         return WorkloadSpec(name=spec.get("name", "scenario"), tasks=tasks)
     builder = spec.get("builder")
@@ -190,9 +209,10 @@ def parse_scenario(data: dict) -> Scenario:
     dict's remaining keys override it.  The import is lazy because
     ``repro.scenarios`` builds on this module.
 
-    Raises ``ValueError`` when the document is not an object, when
-    ``machine`` is not an object, or when ``duration_s`` is not a
-    positive finite number.
+    Raises ``ValueError`` when the document or a nested block
+    (``machine``, ``workload`` and its tasks, ``throttle``, ``power``,
+    ``thermal``, ``generator``) is not an object, or when
+    ``duration_s`` is not a positive finite number.
     """
     if not isinstance(data, Mapping):
         raise ValueError(
@@ -202,11 +222,14 @@ def parse_scenario(data: dict) -> Scenario:
         from repro.scenarios import expand_generated
 
         data = expand_generated(data)
-    machine_spec = data.get("machine", {"preset": "ibm_x445"})
-    if not isinstance(machine_spec, Mapping):
-        raise ValueError(
-            f"'machine' must be a JSON object, not {machine_spec!r}"
-        )
+    machine_spec = _block(data, "machine", {"preset": "ibm_x445"})
+    throttle_spec = _block(data, "throttle", {})
+    power_spec = data.get("power")
+    if power_spec is not None:
+        power_spec = _block(data, "power")
+    if "workload" not in data:
+        raise ValueError("a scenario needs a 'workload' object")
+    workload_spec = _block(data, "workload")
     duration = data.get("duration_s", 300.0)
     try:
         duration_s = float(duration)
@@ -218,7 +241,6 @@ def parse_scenario(data: dict) -> Scenario:
             f"not {duration!r}"
         )
     machine = _parse_machine(machine_spec)
-    throttle_spec = data.get("throttle", {})
     throttle = ThrottleConfig(
         enabled=bool(throttle_spec.get("enabled", False)),
         scope=throttle_spec.get("scope", "logical"),
@@ -242,7 +264,6 @@ def parse_scenario(data: dict) -> Scenario:
     ):
         if key in data:
             kwargs[key] = conv(data[key])
-    power_spec = data.get("power")
     if power_spec is not None:
         kwargs["power"] = PowerModelParams(
             noise_sigma=float(power_spec.get("noise_sigma", 0.015)),
@@ -258,7 +279,7 @@ def parse_scenario(data: dict) -> Scenario:
     )
     return Scenario(
         config=config,
-        workload=_parse_workload(data["workload"]),
+        workload=_parse_workload(workload_spec),
         # A name or a {"name": ..., "params": {...}} mapping; unknown
         # names/params raise here, before any run starts.
         policy=PolicySpec.coerce(data.get("policy", "energy")),

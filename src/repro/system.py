@@ -49,7 +49,7 @@ from repro.cpu.dvfs import (
 )
 from repro.cpu.frequency import ExecutionModel
 from repro.cpu.events import N_EVENTS
-from repro.cpu.pmc import CounterBank
+from repro.cpu.pmc import CounterBank, jitter_bound, wrap_horizon
 from repro.cpu.power import GroundTruthPower, TickEnergyCache
 from repro.cpu.thermal import ThermalDiode, ThermalRC, rc_decay
 from repro.cpu.throttle import ThrottleController
@@ -79,7 +79,6 @@ CHECKPOINT_VERSION = 1
 #: object).  ``__setstate__`` re-derives them all.
 _DERIVED_ATTRS = (
     "tick",            # profiled-tick method shadow (bound to the old self)
-    "_bank_rows",      # views into _counts_mx (numpy pickles views as copies)
     "_pmc_gauss",      # bound methods of the per-CPU jitter streams
     "_pmc_rngs",       # the jitter stream objects themselves
     "_meter_gauss",    # bound methods of the per-package meter streams
@@ -92,7 +91,10 @@ _DERIVED_ATTRS = (
     "_hk_tables",      # housekeeping fire tables (from the tick periods)
     "_next_fork_ms",   # earliest arrival among unforked slots (inf: none)
     "_exec_memo",      # per-CPU (mix, cycles, entry) memo over _tick_cache
-    "_jit_scratch",    # per-tick counter-credit scratch row
+    "_inc_mx",         # per-CPU counter increments (rows of _exec_memo)
+    "_jit_col",        # per-CPU jitter of this tick (0.0: did not run)
+    "_inc_max",        # largest increment among _exec_memo entries seen
+    "_wrap_skip",      # ticks the counter remainder may still be skipped
     "_pkg_pairs",      # two-CPU package index pairs (from _pkg_cpus)
     "_obs_audit",      # alias of observer.audit (None when obs is off)
     "_obs_balance_hist",  # alias of observer.balance_hist (ditto)
@@ -383,8 +385,6 @@ class System:
         self._pmc_rngs = [self.rng.stream(f"pmc:{c}") for c in range(self.n_cpus)]
         self._pmc_gauss = [r.gauss for r in self._pmc_rngs]
         self._sib1 = _sib1_table(self._siblings)
-        self._exec_memo: list[tuple | None] = [None] * self.n_cpus
-        self._jit_scratch = np.zeros(N_EVENTS)
         self._pkg_pairs = [
             cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
         ]
@@ -395,13 +395,14 @@ class System:
             s.power_cap_w is not None for s in workload.tasks
         )
         # All counter banks share one counts matrix so the batched path
-        # can apply the wraparound modulus once per tick; the per-bank
-        # credit path mutates its row in place and stays equivalent.
+        # can credit every bank in one operation and reduce it only near
+        # a wrap; the per-bank credit path mutates its row in place and
+        # stays equivalent.
         self._counts_mx = np.zeros((self.n_cpus, N_EVENTS))
         for c, bank in enumerate(self.banks):
             bank.bind_row(self._counts_mx[c])
-        self._bank_rows = [self._counts_mx[c] for c in range(self.n_cpus)]
         self._counter_modulus = self.banks[0].modulus
+        self._reset_credit_state()
         self._thermal_in_w = [0.0] * self.n_cpus
         self._cycles_for_dt: tuple[float, float, float] | None = None
         self._rc_decay_dt: float | None = None
@@ -481,15 +482,13 @@ class System:
         # the batched path needs.
         for c, bank in enumerate(self.banks):
             bank.bind_row(self._counts_mx[c])
-        self._bank_rows = [self._counts_mx[c] for c in range(self.n_cpus)]
         self._pmc_rngs = [self.rng.stream(f"pmc:{c}") for c in range(self.n_cpus)]
         self._pmc_gauss = [r.gauss for r in self._pmc_rngs]
         self._meter_gauss = [r.gauss for r in self._meter_rngs]
         self._sib1 = _sib1_table(self._siblings)
         self._hk_tables = None
         self._next_fork_ms = _next_arrival_ms(self.slots)
-        self._exec_memo = [None] * self.n_cpus
-        self._jit_scratch = np.zeros(N_EVENTS)
+        self._reset_credit_state()
         self._pkg_pairs = [
             cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
         ]
@@ -510,6 +509,19 @@ class System:
                 observer.audit.rearm(lambda: self._now_ms)
             if observer.profile is not None:
                 self.tick = self._tick_profiled
+
+    def _reset_credit_state(self) -> None:
+        """Fresh batched-credit state: empty memos, a remainder next tick.
+
+        Every CPU's memo misses on its next run and refills its row of
+        the increments matrix, and the first tick reduces the registers
+        before it computes a new wrap horizon.
+        """
+        self._exec_memo: list[tuple | None] = [None] * self.n_cpus
+        self._inc_mx = np.zeros((self.n_cpus, N_EVENTS))
+        self._jit_col = np.zeros((self.n_cpus, 1))
+        self._inc_max = 0.0
+        self._wrap_skip = 0
 
     def snapshot(self) -> dict:
         """A versioned, self-contained checkpoint of the machine.
@@ -831,7 +843,8 @@ class System:
         effective cycle counts are memoised per tick length, per-(mix,
         cycles) counter increments and unit energies come from the
         :class:`~repro.cpu.power.TickEnergyCache`, and attribute lookups
-        are bound once per tick instead of once per CPU.
+        are bound once per tick instead of once per CPU.  The counter
+        banks are credited once per tick, as one matrix operation.
         """
         tick_s = clock.tick_s
         tick_ms = clock.tick_ms
@@ -867,7 +880,6 @@ class System:
         cycles_solo, cycles_smt = cached[1], cached[2]
         smt_factor = self.exec_model.smt_thread_factor
         siblings = self._siblings
-        bank_rows = self._bank_rows
         freq_scale = self._freq_scale
         busy_ticks = self._busy_ticks
         interval_energy = self._interval_energy
@@ -886,7 +898,10 @@ class System:
         inline_gauss = self.fault_injector is None
         sib1 = self._sib1
         exec_memo = self._exec_memo
-        jit_scratch = self._jit_scratch
+        inc_mx = self._inc_mx
+        jit_col = self._jit_col
+        # CPUs that do not run credit 0.0 x their row: x + 0.0 == x.
+        jit_col.fill(0.0)
         jitter_sigma = self.config.counter_jitter_sigma
         dvfs_on = self._dvfs_mode
         base_w = self.estimator.base_w
@@ -950,6 +965,11 @@ class System:
                 if entry is None or entry[0] is not mix:
                     entry = cache_miss(mix, cycles)
                 exec_memo[c] = (mix, cycles, entry)
+                inc_mx[c] = entry[1]
+                if entry[4] > self._inc_max:
+                    # A larger increment voids the wrap horizon.
+                    self._inc_max = entry[4]
+                    self._wrap_skip = 0
             dyn_w = entry[3]
             if sibling_busy:
                 dyn_w *= smt_factor
@@ -981,20 +1001,9 @@ class System:
                     jitter = 0.0
             else:
                 jitter = 1.0
-            # Credit the counter bank through its shared matrix row; the
-            # wraparound modulus is applied once per tick below, which is
-            # exact (x % m == x while the counters stay below m, so the
-            # deferred reduction matches per-credit reduction bit for
-            # bit).
-            base_increments = entry[1]
-            row = bank_rows[c]
-            if jitter == 1.0:
-                row += base_increments
-            else:
-                # Same product values through a preallocated scratch
-                # row instead of a fresh temporary per credit.
-                np.multiply(base_increments, jitter, out=jit_scratch)
-                row += jit_scratch
+            # The bank is credited with entry[1] * jitter after the loop
+            # (x * 1.0 == x, so an unjittered credit keeps its bits).
+            jit_col[c, 0] = jitter
             scale_factor = jitter if scale == 1.0 else jitter * (scale * scale)
             # Inlined LinearEnergyEstimator.tick_energy_j — same
             # expression, same evaluation order, so the two paths agree
@@ -1047,10 +1056,27 @@ class System:
                 nxt = rq.pick_next(eligible)
                 if nxt is not None and nxt.timeslice_remaining_ms <= 0:
                     nxt.timeslice_remaining_ms = self._timeslice_for(nxt)
-        # One wraparound reduction for all banks.  Each bank is credited
-        # at most once per tick, so reducing here instead of per credit
-        # yields the exact same counter values as CounterBank.credit.
-        self._counts_mx %= self._counter_modulus
+        # One credit for all banks, each at most once per tick, so one
+        # reduction here yields CounterBank.credit's values.  The
+        # reduction is the identity while every register stays below
+        # the modulus, so it runs only when the wrap horizon is spent.
+        # An installed fault injector may draw past the jitter bound or
+        # corrupt registers, so it reduces every tick.
+        counts = self._counts_mx
+        counts += inc_mx * jit_col
+        if self._wrap_skip and inline_gauss:
+            self._wrap_skip -= 1
+        else:
+            counts %= self._counter_modulus
+            self._wrap_skip = (
+                wrap_horizon(
+                    counts,
+                    self._counter_modulus,
+                    self._inc_max * jitter_bound(jitter_sigma),
+                )
+                if inline_gauss
+                else 0
+            )
 
     def _apply_cache_warmup(self, task: Task, instructions: float) -> float:
         """Retire fewer instructions while the task re-warms caches.
@@ -1316,62 +1342,68 @@ class System:
         self.metrics.update_thermal_batch(thermal_in, tick_s)
 
     def _throttle_step(self, clock: Clock) -> None:
+        """Advance every CPU's throttle or DVFS controller one tick.
+
+        One batched controller step per tick; THROTTLE events and
+        ``dvfs`` audit records follow for the CPUs that changed, in
+        ascending order.
+        """
         if not self.config.throttle.enabled:
             return
-        audit = self._obs_audit
+        pkg_of = self._pkg_of
         if self._dvfs_mode and self._dvfs_kind == "proactive":
             # Temperature-tracking DVFS: steer each package's *estimated*
             # die temperature (§4.2) toward its target instead of
             # reacting to the thermal-power limit.
-            targets = self._dvfs_target_c
             pkg_est_temp = self._pkg_est_temp_c
-            pkg_of = self._pkg_of
-            for c in range(self.n_cpus):
-                pkg = pkg_of[c]
-                was = self._freq_scale[c]
-                now = self.dvfs.update(c, pkg_est_temp[pkg], targets[pkg])
-                self._freq_scale[c] = now
-                if audit is not None and now != was:
-                    audit.record(
-                        site="dvfs",
-                        cpu=c,
-                        accepted=True,
-                        detail={
-                            "scale": now,
-                            "est_temp_c": pkg_est_temp[pkg],
-                            "target_c": targets[pkg],
-                        },
-                    )
-            return
-        package_scope = self.config.throttle.scope == "package"
-        for c in range(self.n_cpus):
-            if package_scope:
-                thermal = self.metrics.package_thermal_sum_w(c)
-                limit = self.metrics.package_max_power_w(c)
+            targets = self._dvfs_target_c
+            values = [pkg_est_temp[p] for p in pkg_of]
+            limits = [targets[p] for p in pkg_of]
+            names = ("est_temp_c", "target_c")
+        else:
+            metrics = self.metrics
+            if self.config.throttle.scope == "package":
+                # Each logical CPU compares its package's sums, read
+                # once per package.
+                sums = [
+                    metrics.package_thermal_sum_w(cpus[0])
+                    for cpus in self._pkg_cpus
+                ]
+                budgets = [
+                    metrics.package_max_power_w(cpus[0])
+                    for cpus in self._pkg_cpus
+                ]
+                values = [sums[p] for p in pkg_of]
+                limits = [budgets[p] for p in pkg_of]
             else:
-                thermal = self.metrics.thermal_power_w(c)
-                limit = self.metrics.max_power_w(c)
-            if self._dvfs_mode:
-                was = self._freq_scale[c]
-                now = self.dvfs.update(c, thermal, limit)
-                self._freq_scale[c] = now
-                if audit is not None and now != was:
-                    audit.record(
-                        site="dvfs",
-                        cpu=c,
-                        accepted=True,
-                        detail={
-                            "scale": now,
-                            "thermal_w": thermal,
-                            "limit_w": limit,
-                        },
-                    )
-                continue
-            was = self.throttle.is_throttled(c)
-            now = self.throttle.update(c, thermal, limit)
-            if now != was:
-                kind = EventKind.THROTTLE_ON if now else EventKind.THROTTLE_OFF
-                self.tracer.event(EventRecord(clock.now_ms, kind, cpu=c))
+                values = metrics.thermal_w
+                limits = metrics.max_power
+            names = ("thermal_w", "limit_w")
+        if not self._dvfs_mode:
+            throttled = self.throttle.throttled
+            now_ms = clock.now_ms
+            for c in self.throttle.step(values, limits):
+                kind = (
+                    EventKind.THROTTLE_ON if throttled[c]
+                    else EventKind.THROTTLE_OFF
+                )
+                self.tracer.event(EventRecord(now_ms, kind, cpu=c))
+            return
+        audit = self._obs_audit
+        freq_scale = self._freq_scale
+        for c in self.dvfs.step(values, limits):
+            scale = freq_scale[c] = self.dvfs.scale(c)
+            if audit is not None:
+                audit.record(
+                    site="dvfs",
+                    cpu=c,
+                    accepted=True,
+                    detail={
+                        "scale": scale,
+                        names[0]: values[c],
+                        names[1]: limits[c],
+                    },
+                )
 
     # -- periodic policy work -----------------------------------------------------
     def _housekeeping(self, clock: Clock) -> None:

@@ -6,7 +6,8 @@ agree, tick by tick and not only on the final summary (which
 from the same (config, workload, policy) triple — one per tick path —
 and advanced in lockstep.  After each tick a canonical probe of the
 machine state (per-CPU powers, the thermal EWMA column, package
-temperatures, runqueue lengths, job and migration counters) is compared
+temperatures, runqueue lengths, job and migration counters, the PMC
+counter registers) is compared
 *exactly*: the paths are bit-identical by construction, so the first
 unequal probe pinpoints the tick a regression was introduced, not just
 that one happened.
@@ -101,6 +102,9 @@ def probe(system: System) -> dict[str, object]:
         "migrations": tracer.counters.get("migrations"),
         "throttled": list(system.throttle.throttled),
         "freq_scale": list(system._freq_scale),
+        # Raw bytes, so NaN-corrupted registers with equal bits compare
+        # equal (NaN != NaN as floats).
+        "pmc_counts": system._counts_mx.tobytes(),
     }
 
 

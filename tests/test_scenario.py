@@ -157,6 +157,10 @@ class TestRunning:
         assert "unknown policy 'quantum'" in err
 
 
+#: ``sweep`` over seeds 1..3 of the scenario file appended to it.
+SWEEP = ["sweep", "--seeds", "1..3", "--no-cache", "--scenario"]
+
+
 class TestMalformedInput:
     """A malformed file ends in one ``repro: error:`` line (exit 2),
     never a traceback."""
@@ -168,9 +172,23 @@ class TestMalformedInput:
         (["trace", "--file"], [1, 2]),
         (["run-file"], {**BASE, "machine": "ibm_x445"}),
         (["batch", "--no-cache"], [1, 2]),
+        (["run-file"], {**BASE, "workload": "mixed"}),
+        (["run-file"], {**BASE, "throttle": "hlt"}),
+        (["run-file"], {**BASE, "power": 5}),
+        (SWEEP, [1, 2]),
+        (SWEEP, {**BASE, "machine": {"preset": "ibm_x999"}}),
+        (SWEEP, {**BASE, "duration_s": -1}),
+        (["batch", "--no-cache"],
+         [{"scenario": {**BASE, "machine": {"preset": "ibm_x999"}},
+           "seeds": "1..3"}]),
+        (["batch", "--no-cache"],
+         [{"scenario": {**BASE, "duration_s": -1}, "seeds": "1..3"}]),
     ], ids=["run-file-negative-duration", "explain-negative-duration",
             "run-file-list", "trace-list", "run-file-machine-string",
-            "batch-list"])
+            "batch-list", "run-file-workload-string",
+            "run-file-throttle-string", "run-file-power-number",
+            "sweep-list", "sweep-unknown-preset", "sweep-negative-duration",
+            "batch-unknown-preset", "batch-negative-duration"])
     def test_one_error_line(self, command, document, tmp_path, capsys):
         from repro.cli import main
 
@@ -184,6 +202,17 @@ class TestMalformedInput:
                   if line.startswith("repro: error:")]
         assert len(errors) == 1, err
         assert "Traceback" not in err
+        assert "[1/" not in err  # no job started
+
+    @pytest.mark.parametrize("key,value", [
+        ("workload", "mixed"), ("workload", ["mixed"]),
+        ("throttle", "hlt"), ("power", 5),
+        ("thermal", 0.3), ("thermal", [0.3, 0.3]),
+        ("workload", {"tasks": "memrw"}), ("workload", {"tasks": ["memrw"]}),
+    ])
+    def test_parse_scenario_rejects_non_object_blocks(self, key, value):
+        with pytest.raises(ValueError):
+            parse_scenario({**BASE, key: value})
 
     @pytest.mark.parametrize("duration", [0, float("nan"), float("inf"),
                                           None, "soon"])

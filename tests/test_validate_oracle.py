@@ -6,6 +6,8 @@ deliberately different systems must produce a first-divergence report,
 and the report must point at a tick and a field set.
 """
 
+import math
+
 import pytest
 
 from repro.config import SystemConfig
@@ -76,6 +78,26 @@ class TestDifferentialReplay:
         assert payload["divergence"]["fields"] == list(
             report.divergence.fields
         )
+
+    def test_register_divergence_reported(self, monkeypatch):
+        # One ulp on one counter register after the fast path's credit.
+        # Nothing downstream reads the registers, so only the probe's
+        # pmc_counts field can see it.
+        execute_fast = System._execute_fast
+
+        def nudged(self, clock):
+            execute_fast(self, clock)
+            if clock.ticks == 5:
+                counts = self._counts_mx
+                counts[0, 0] = math.nextafter(counts[0, 0], math.inf)
+
+        monkeypatch.setattr(System, "_execute_fast", nudged)
+        report = differential_replay(
+            smp_config(), mixed_table2_workload(1), duration_s=0.2
+        )
+        assert report.divergence is not None
+        assert report.divergence.tick == 5
+        assert report.divergence.fields == ("pmc_counts",)
 
     def test_divergence_details_hold_both_sides(self):
         workload = mixed_table2_workload(1)

@@ -3,6 +3,7 @@
     python -m repro list
     python -m repro run fig9
     python -m repro run table3 --duration 600 --seed 42
+    python -m repro run                 # all eight, one section each
     python -m repro sweep fig6-7 --seeds 1..10 --workers 4
     python -m repro batch grid.json --workers 4
 
@@ -147,13 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the registered experiments")
 
-    run = sub.add_parser("run", help="run one experiment and print its report")
-    run.add_argument("experiment", help="experiment name (see 'list')")
+    run = sub.add_parser(
+        "run", help="run experiments and print their reports (all if none "
+                    "is named)"
+    )
+    run.add_argument("experiments", nargs="*", metavar="experiment",
+                     help="experiment names (see 'list'); one prints its "
+                          "report, none or several print a '===== name "
+                          "=====' section each (none: every experiment)")
     run.add_argument("--duration", type=_positive_duration, default=None,
                      metavar="SECONDS",
-                     help="simulated duration (default: the committed one)")
+                     help="simulated duration of each experiment "
+                          "(default: its committed one)")
     run.add_argument("--seed", type=int, default=None,
-                     help="root random seed (default: the committed one)")
+                     help="root random seed of each experiment "
+                          "(default: its committed one)")
 
     run_file = sub.add_parser(
         "run-file", help="run a JSON scenario file and print a summary"
@@ -183,13 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--allow-stale", action="store_true",
                         help="load a checkpoint written by a different code "
                              "version (normally refused)")
-
-    reproduce = sub.add_parser(
-        "reproduce", help="run every experiment at its committed duration"
-    )
-    reproduce.add_argument("--duration", type=_positive_duration, default=None,
-                           metavar="SECONDS",
-                           help="override every experiment's duration")
 
     sweep = sub.add_parser(
         "sweep",
@@ -1180,11 +1182,6 @@ def main(argv: list[str] | None = None) -> int:
                       f"{violation.message}", file=sys.stderr)
             return 1
         return 0
-    if args.command == "reproduce":
-        from repro.experiments import run_all
-
-        print(run_all(duration_s=args.duration))
-        return 0
     if args.command == "resume":
         from repro.analysis.export import run_summary_json
         from repro.resilience import CheckpointError, resume_simulation
@@ -1215,13 +1212,22 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_explain(parser, args)
     if args.command == "top":
         return _cmd_top(parser, args)
-    experiment = _resolve_experiment(parser, args.experiment)
+    names = [_resolve_experiment(parser, name) for name in args.experiments]
+    runs = names or sorted(REGISTRY)
     try:
-        report = run_experiment(experiment, duration_s=args.duration,
-                                seed=args.seed)
+        reports = [
+            run_experiment(name, duration_s=args.duration, seed=args.seed)
+            for name in runs
+        ]
     except ValueError as exc:
         parser.error(str(exc))
-    print(report)
+    if len(names) == 1:
+        print(reports[0])
+    else:
+        print("\n\n".join(
+            f"===== {name} =====\n{report}"
+            for name, report in zip(runs, reports)
+        ))
     return 0
 
 

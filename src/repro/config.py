@@ -107,6 +107,8 @@ class SystemConfig:
             raise ValueError("NUMA warmup factor must be >= 1")
         if not 0.0 < self.cold_cache_ipc_factor <= 1.0:
             raise ValueError("cold-cache IPC factor must be in (0, 1]")
+        if not 0.0 < self.smt_thread_factor <= 1.0:
+            raise ValueError("smt_thread_factor must be in (0, 1]")
 
     # -- resolution helpers ----------------------------------------------------
     def thermal_for_package(self, package: int) -> ThermalParams:

@@ -20,7 +20,7 @@ scheduler infrastructure:
 from repro.core.energy_balance import EnergyBalanceConfig, EnergyBalancer
 from repro.core.ewma import ThermalEwma, VariablePeriodEwma
 from repro.core.hot_migration import HotMigrationConfig, HotTaskMigrator
-from repro.core.metrics import CpuPowerMetrics, MetricsBoard
+from repro.core.metrics import MetricsBoard
 from repro.core.placement import InitialPlacement, PlacementConfig
 from repro.core.policy import (
     BaselinePolicy,
@@ -32,7 +32,6 @@ from repro.core.profile import EnergyProfile, ProfileConfig
 
 __all__ = [
     "BaselinePolicy",
-    "CpuPowerMetrics",
     "EnergyAwareConfig",
     "EnergyAwarePolicy",
     "EnergyBalanceConfig",

@@ -18,11 +18,16 @@ Per logical CPU:
 Layout
 ------
 :class:`MetricsBoard` stores all per-CPU state as parallel
-struct-of-arrays columns (``thermal_w``, ``tau_s``, ``max_power_w``) —
+struct-of-arrays columns (``thermal_w``, ``tau_s``, ``max_power``) —
 the in-memory analogue of the paper's extended ``runqueue`` struct
-fields laid side by side.  The batched tick path advances the whole
-thermal column with one :func:`repro.core.ewma.ewma_update_batch` call
-and serves runqueue-power and package-sum queries from epoch-validated
+fields laid side by side.  The columns and the board's accessors are
+the one API: the §4.4–§4.6 policies, both tick paths and the fleet
+engine read them through the accessors, and whoever writes
+``thermal_w`` directly (the fleet's flush, test harnesses) bumps
+``thermal_epoch``.  ``tau_s`` and ``max_power`` are fixed at
+construction.  The batched tick path advances the whole thermal
+column with one :func:`repro.core.ewma.ewma_update_batch` call and
+serves runqueue-power and package-sum queries from epoch-validated
 caches; the scalar reference path performs the pre-batching per-CPU
 updates and recomputations.  Both produce bit-identical values — the
 fast accessors only memoise, never approximate.
@@ -31,138 +36,11 @@ fast accessors only memoise, never approximate.
 from __future__ import annotations
 
 import math
-
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.ewma import ewma_update_batch, thermal_alpha
 from repro.cpu.topology import Topology
 from repro.sched.runqueue import RunQueue
-
-
-class ThermalColumnView:
-    """Scalar view of one CPU's slot in the thermal EWMA column.
-
-    Presents the :class:`repro.core.ewma.ThermalEwma` interface
-    (``value_w``/``prime``/``update``/``tau_s``) over the board's
-    struct-of-arrays storage, so per-CPU call sites and tests read
-    naturally while the data stays columnar.
-    """
-
-    __slots__ = ("_values", "_taus", "_index", "_on_mutate")
-
-    def __init__(
-        self,
-        values: list[float],
-        taus: list[float],
-        index: int,
-        on_mutate: Callable[[bool], None] | None = None,
-    ) -> None:
-        self._values = values
-        self._taus = taus
-        self._index = index
-        self._on_mutate = on_mutate
-
-    @property
-    def value_w(self) -> float:
-        return self._values[self._index]
-
-    @property
-    def tau_s(self) -> float:
-        return self._taus[self._index]
-
-    @tau_s.setter
-    def tau_s(self, tau_s: float) -> None:
-        if tau_s <= 0:
-            raise ValueError("time constant must be positive")
-        self._taus[self._index] = float(tau_s)
-        if self._on_mutate is not None:
-            self._on_mutate(True)
-
-    def prime(self, value_w: float) -> None:
-        self._values[self._index] = float(value_w)
-        if self._on_mutate is not None:
-            self._on_mutate(False)
-
-    def update(self, power_w: float, dt_s: float) -> float:
-        """One scalar EWMA step (the pre-batching reference arithmetic)."""
-        if dt_s < 0:
-            raise ValueError("dt must be non-negative")
-        alpha = 1.0 - math.exp(-dt_s / self._taus[self._index])
-        self._values[self._index] += alpha * (power_w - self._values[self._index])
-        if self._on_mutate is not None:
-            self._on_mutate(False)
-        return self._values[self._index]
-
-    def __repr__(self) -> str:
-        return (
-            f"ThermalColumnView(value={self.value_w:.2f}W, tau={self.tau_s}s)"
-        )
-
-
-class CpuPowerMetrics:
-    """Power state of one logical CPU (a view over the board's columns).
-
-    Can also be constructed standalone (it then owns single-element
-    columns), which unit tests and ad-hoc harnesses use.
-    """
-
-    __slots__ = ("cpu_id", "thermal", "_max_col", "_index", "_on_mutate")
-
-    def __init__(
-        self,
-        cpu_id: int,
-        tau_s: float,
-        max_power_w: float,
-        initial_w: float,
-    ) -> None:
-        if max_power_w <= 0:
-            raise ValueError("maximum power must be positive")
-        if tau_s <= 0:
-            raise ValueError("time constant must be positive")
-        self.cpu_id = cpu_id
-        self.thermal = ThermalColumnView(
-            [float(initial_w)], [float(tau_s)], 0, None
-        )
-        self._max_col = [float(max_power_w)]
-        self._index = 0
-        self._on_mutate = None
-
-    @classmethod
-    def _view(
-        cls,
-        cpu_id: int,
-        thermal: ThermalColumnView,
-        max_col: list[float],
-        index: int,
-        on_mutate: Callable[[bool], None],
-    ) -> "CpuPowerMetrics":
-        view = cls.__new__(cls)
-        view.cpu_id = cpu_id
-        view.thermal = thermal
-        view._max_col = max_col
-        view._index = index
-        view._on_mutate = on_mutate
-        return view
-
-    @property
-    def max_power_w(self) -> float:
-        return self._max_col[self._index]
-
-    @max_power_w.setter
-    def max_power_w(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError("maximum power must be positive")
-        self._max_col[self._index] = float(value)
-        if self._on_mutate is not None:
-            self._on_mutate(True)
-
-    @property
-    def thermal_power_w(self) -> float:
-        return self.thermal.value_w
-
-    @property
-    def thermal_power_ratio(self) -> float:
-        return self.thermal.value_w / self._max_col[self._index]
 
 
 class MetricsBoard:
@@ -231,32 +109,8 @@ class MetricsBoard:
         self._rq_ratio_version: list[int] = [-1] * n
         self._pkg_sum: dict[int, tuple[int, float]] = {}
         self._pkg_max: dict[int, float] = {}
-        self._views: list[CpuPowerMetrics] = [
-            CpuPowerMetrics._view(
-                info.cpu_id,
-                ThermalColumnView(
-                    self.thermal_w, self.tau_s, info.cpu_id, self._note_mutation
-                ),
-                self.max_power,
-                info.cpu_id,
-                self._note_mutation,
-            )
-            for info in topology.cpus
-        ]
-
-    def _note_mutation(self, structural: bool) -> None:
-        """A thermal value (or, if ``structural``, a tau/limit) changed."""
-        self.thermal_epoch += 1
-        if structural:
-            self._alpha_dt = None
-            self._pkg_max.clear()
-            for i in range(len(self._rq_ratio_version)):
-                self._rq_ratio_version[i] = -1
 
     # -- per-CPU ------------------------------------------------------------
-    def cpu(self, cpu_id: int) -> CpuPowerMetrics:
-        return self._views[cpu_id]
-
     def update_thermal(self, cpu_id: int, power_w: float, dt_s: float) -> None:
         """Fold one tick of estimated CPU power into thermal power.
 
@@ -399,67 +253,3 @@ class MetricsBoard:
 
     def system_avg_runqueue_ratio(self) -> float:
         return self.group_avg_runqueue_ratio(range(len(self.thermal_w)))
-
-
-class CpuStateBlock:
-    """The simulator's struct-of-arrays per-tick state (§5's runqueue
-    fields, laid out as parallel columns).
-
-    Groups every column the batched tick path touches: the board's
-    scheduler-visible metrics (runqueue power, thermal power, maximum
-    power), the execution step's per-CPU scratch (running flags,
-    estimated and dynamic power, frequency scale), the throttle
-    controller's state column, and the per-package temperatures.  The
-    lists are *shared*, not copied — :class:`MetricsBoard`, the
-    :class:`repro.cpu.throttle.ThrottleController`, and
-    :class:`repro.system.System` all index into the same storage, so
-    the block is a window onto live state, not a snapshot.
-    """
-
-    __slots__ = (
-        "thermal_w",
-        "max_power_w",
-        "est_power_w",
-        "dyn_power_w",
-        "running",
-        "freq_scale",
-        "throttled",
-        "pkg_temp_c",
-        "pkg_est_temp_c",
-        "pkg_est_power_w",
-    )
-
-    def __init__(
-        self,
-        thermal_w: list[float],
-        max_power_w: list[float],
-        est_power_w: list[float],
-        dyn_power_w: list[float],
-        running: list[bool],
-        freq_scale: list[float],
-        throttled: list[bool],
-        pkg_temp_c: list[float],
-        pkg_est_temp_c: list[float],
-        pkg_est_power_w: list[float],
-    ) -> None:
-        self.thermal_w = thermal_w
-        self.max_power_w = max_power_w
-        self.est_power_w = est_power_w
-        self.dyn_power_w = dyn_power_w
-        self.running = running
-        self.freq_scale = freq_scale
-        self.throttled = throttled
-        self.pkg_temp_c = pkg_temp_c
-        self.pkg_est_temp_c = pkg_est_temp_c
-        self.pkg_est_power_w = pkg_est_power_w
-
-    @property
-    def n_cpus(self) -> int:
-        return len(self.thermal_w)
-
-    @property
-    def n_packages(self) -> int:
-        return len(self.pkg_temp_c)
-
-    def __repr__(self) -> str:
-        return f"CpuStateBlock(cpus={self.n_cpus}, packages={self.n_packages})"

@@ -247,9 +247,9 @@ class TickEnergyCache:
     Entries key on ``id(mix)`` and verify identity on lookup while
     holding a strong reference to the mix, so a recycled ``id`` can
     never alias a dead entry (same discipline as the dynamic-power
-    cache in :class:`repro.system.System`).  ``cache`` is public so the
-    tick loop can probe it without a method call; use :meth:`lookup`
-    everywhere else.
+    cache in :class:`repro.system.System`).  :meth:`lookup` is the one
+    way in; the single-machine fast path keeps a one-entry memo per CPU
+    in front of it.
     """
 
     #: entry layout: (mix, base_increments, unit_energy_nj,
@@ -265,26 +265,23 @@ class TickEnergyCache:
         self._estimator = estimator
         self._power = power
         self._freq_hz = freq_hz
-        self.cache: dict[tuple[int, float], TickEnergyCache.Entry] = {}
-
-    def miss(self, mix, cycles: float) -> "TickEnergyCache.Entry":
-        """Compute, store, and return the entry for a (mix, cycles) pair."""
-        base_increments = mix.rates_per_cycle * cycles
-        unit_nj = self._estimator.unit_energy_nj(base_increments)
-        dyn_w = self._power.dynamic_power_w(mix.rates_per_cycle, self._freq_hz)
-        if len(self.cache) > 8192:
-            self.cache.clear()
-        max_inc = float(base_increments.max())
-        entry = (mix, base_increments, unit_nj, dyn_w, max_inc)
-        self.cache[(id(mix), cycles)] = entry
-        return entry
+        self._cache: dict[tuple[int, float], TickEnergyCache.Entry] = {}
 
     def lookup(self, mix, cycles: float) -> "TickEnergyCache.Entry":
         """The entry for a mix at a cycle count (cached or computed)."""
-        entry = self.cache.get((id(mix), cycles))
+        key = (id(mix), cycles)
+        entry = self._cache.get(key)
         if entry is not None and entry[0] is mix:
             return entry
-        return self.miss(mix, cycles)
+        base_increments = mix.rates_per_cycle * cycles
+        unit_nj = self._estimator.unit_energy_nj(base_increments)
+        dyn_w = self._power.dynamic_power_w(mix.rates_per_cycle, self._freq_hz)
+        if len(self._cache) > 8192:
+            self._cache.clear()
+        max_inc = float(base_increments.max())
+        entry = (mix, base_increments, unit_nj, dyn_w, max_inc)
+        self._cache[key] = entry
+        return entry
 
 
 @dataclass(frozen=True, slots=True)

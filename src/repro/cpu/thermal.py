@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 #: Memoised ``exp(-dt/tau)`` decay factors, keyed by (tau, dt).  One
 #: entry per distinct heat-sink parameterisation per tick length.
@@ -47,22 +46,6 @@ def rc_decay(tau_s: float, dt_s: float) -> float:
         decay = math.exp(-dt_s / tau_s)
         _DECAY_CACHE[key] = decay
     return decay
-
-
-def rc_step_batch(
-    rcs: Sequence["ThermalRC"],
-    powers_w: Sequence[float],
-    decays: Sequence[float],
-    out: list[float],
-) -> None:
-    """Advance one RC network per package in a single pass.
-
-    Performs :meth:`ThermalRC.step`'s arithmetic with the decay factor
-    precomputed, writing the new temperatures into the ``out`` column
-    (the struct-of-arrays temperature block) as well as the objects.
-    """
-    for i, (rc, power_w, decay) in enumerate(zip(rcs, powers_w, decays)):
-        out[i] = rc.step_with_decay(power_w, decay)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +100,8 @@ class ThermalRC:
 
     def __init__(self, params: ThermalParams, initial_c: float | None = None) -> None:
         self.params = params
-        # Cached for the per-tick integration step (saves two attribute
-        # hops per call on the hot path; same floats as the params).
+        # Cached for the batched tick paths, which inline step()'s
+        # expression (same floats as the params).
         self._ambient_c = params.ambient_c
         self._r_k_per_w = params.r_k_per_w
         self._temp_c = params.ambient_c if initial_c is None else float(initial_c)
@@ -138,19 +121,6 @@ class ThermalRC:
         p = self.params
         target = p.steady_state_c(power_w)
         decay = math.exp(-dt_s / p.tau_s)
-        self._temp_c = target + (self._temp_c - target) * decay
-        return self._temp_c
-
-    def step_with_decay(self, power_w: float, decay: float) -> float:
-        """:meth:`step` with the interval's decay factor precomputed.
-
-        The batched tick path hoists ``exp(-dt/tau)`` out of the loop
-        via :func:`rc_decay`; the remaining arithmetic is identical to
-        :meth:`step` (the target expression is ``steady_state_c``
-        spelled out on cached operands), so both paths integrate
-        bit-identically.
-        """
-        target = self._ambient_c + power_w * self._r_k_per_w
         self._temp_c = target + (self._temp_c - target) * decay
         return self._temp_c
 

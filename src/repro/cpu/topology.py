@@ -190,10 +190,6 @@ class Topology:
     def n_packages(self) -> int:
         return self.spec.n_packages
 
-    @property
-    def n_nodes(self) -> int:
-        return self.spec.nodes
-
     def __repr__(self) -> str:
         s = self.spec
         return (

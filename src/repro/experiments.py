@@ -482,58 +482,42 @@ def render_hotspot(metrics: dict) -> str:
 
 # -- registry -----------------------------------------------------------------
 
-def _compose(metrics_fn: Callable[..., dict],
-             render_fn: Callable[[dict], str]) -> Callable[..., str]:
-    def run(**kwargs) -> str:
-        return render_fn(metrics_fn(**kwargs))
-
-    return run
-
-
 @dataclass(frozen=True, slots=True)
 class ExperimentInfo:
-    """Registry entry: description, text runner, structured entrypoints.
+    """Registry entry: description and structured entrypoints.
 
     ``metrics`` takes ``(duration_s=..., seed=...)``, both defaulting to
     the committed values, and returns the structured result dict;
-    ``render`` turns that dict back into the report text; ``run``
-    composes the two.  ``metrics`` is what the parallel runner invokes
-    in worker processes — it must stay a module-level
-    (picklable-by-name) function.
+    ``render`` turns that dict back into the report text.  ``metrics``
+    is what the parallel runner invokes in worker processes — it must
+    stay a module-level (picklable-by-name) function.
     """
 
     name: str
     description: str
-    run: Callable[..., str]
     metrics: Callable[..., dict]
     render: Callable[[dict], str]
-
-
-def _info(name: str, description: str, metrics_fn: Callable[..., dict],
-          render_fn: Callable[[dict], str]) -> ExperimentInfo:
-    return ExperimentInfo(name, description, _compose(metrics_fn, render_fn),
-                          metrics_fn, render_fn)
 
 
 REGISTRY: dict[str, ExperimentInfo] = {
     info.name: info
     for info in (
-        _info("fig6-7", "energy balancing band + migrations (§6.1)",
-              metrics_fig6_fig7, render_fig6_fig7),
-        _info("fig7-smt", "energy balancing migrations with SMT (§6.1)",
-              metrics_fig7_smt, render_fig7_smt),
-        _info("table3", "throttling percentages + throughput (§6.2)",
-              metrics_table3, render_table3),
-        _info("short-tasks", "placement-driven short-task gain (§6.2)",
-              metrics_short_tasks, render_short_tasks),
-        _info("fig8", "gain vs workload homogeneity (§6.3)",
-              metrics_fig8, render_fig8),
-        _info("fig9", "single hot task tour (§6.4)",
-              metrics_fig9, render_fig9),
-        _info("fig10", "hot-task gain vs task count (§6.4)",
-              metrics_fig10, render_fig10),
-        _info("hotspot", "functional-unit extension (§7)",
-              metrics_hotspot, render_hotspot),
+        ExperimentInfo("fig6-7", "energy balancing band + migrations (§6.1)",
+                       metrics_fig6_fig7, render_fig6_fig7),
+        ExperimentInfo("fig7-smt", "energy balancing migrations with SMT (§6.1)",
+                       metrics_fig7_smt, render_fig7_smt),
+        ExperimentInfo("table3", "throttling percentages + throughput (§6.2)",
+                       metrics_table3, render_table3),
+        ExperimentInfo("short-tasks", "placement-driven short-task gain (§6.2)",
+                       metrics_short_tasks, render_short_tasks),
+        ExperimentInfo("fig8", "gain vs workload homogeneity (§6.3)",
+                       metrics_fig8, render_fig8),
+        ExperimentInfo("fig9", "single hot task tour (§6.4)",
+                       metrics_fig9, render_fig9),
+        ExperimentInfo("fig10", "hot-task gain vs task count (§6.4)",
+                       metrics_fig10, render_fig10),
+        ExperimentInfo("hotspot", "functional-unit extension (§7)",
+                       metrics_hotspot, render_hotspot),
     )
 }
 
@@ -556,23 +540,10 @@ def _kwargs(duration_s: float | None, seed: int | None) -> dict:
     return kwargs
 
 
-def run_all(duration_s: float | None = None) -> str:
-    """Run every registered experiment; returns one combined report.
-
-    Each experiment runs at its committed duration unless ``duration_s``
-    overrides them all.
-    """
-    sections = []
-    for name in sorted(REGISTRY):
-        report = run_experiment(name, duration_s=duration_s)
-        sections.append(f"===== {name} =====\n{report}")
-    return "\n\n".join(sections)
-
-
 def run_experiment(name: str, duration_s: float | None = None,
                    seed: int | None = None) -> str:
     """Run a registered experiment by name; returns the report text."""
-    return _lookup(name).run(**_kwargs(duration_s, seed))
+    return _lookup(name).render(experiment_metrics(name, duration_s, seed))
 
 
 def experiment_metrics(name: str, duration_s: float | None = None,

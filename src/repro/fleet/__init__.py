@@ -6,17 +6,17 @@ user-facing guide.
 """
 
 from repro.fleet.engine import (
-    FLEET_CHECKPOINT_SCHEMA,
     FleetEngine,
     FleetStats,
     FleetUnsupported,
     check_fleet_supported,
+    fleet_config_reasons,
 )
 
 __all__ = [
-    "FLEET_CHECKPOINT_SCHEMA",
     "FleetEngine",
     "FleetStats",
     "FleetUnsupported",
     "check_fleet_supported",
+    "fleet_config_reasons",
 ]

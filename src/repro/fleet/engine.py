@@ -65,10 +65,6 @@ from repro.cpu.thermal import rc_decay
 from repro.sim.clock import Clock
 from repro.system import System
 
-#: Fleet checkpoint format identity (header + per-member System snapshots).
-FLEET_CHECKPOINT_SCHEMA = "repro-fleet-checkpoint"
-FLEET_CHECKPOINT_VERSION = 1
-
 _INF = float("inf")
 
 
@@ -115,14 +111,43 @@ class FleetStats:
         }
 
 
+def fleet_config_reasons(config, workload, policy) -> list[str]:
+    """Why the arrays cannot model a job's configuration (empty: they can).
+
+    These are the checks a scenario settles before any
+    :class:`~repro.system.System` exists, so the fleet stage refuses a
+    job without building it: throttling or DVFS (the policy's forced
+    mode included), energy containers, counter jitter, meter noise, and
+    cores with more than two threads.
+    """
+    reasons = []
+    if (
+        config.throttle.enabled
+        or policy.throttle_override(config.throttle) is not None
+    ):
+        reasons.append("throttling/DVFS enabled")
+    if workload.has_power_caps:
+        reasons.append("energy containers (power caps) in the workload")
+    if config.counter_jitter_sigma != 0.0:
+        reasons.append(f"counter_jitter_sigma={config.counter_jitter_sigma} != 0")
+    if config.power.noise_sigma != 0.0:
+        reasons.append(f"power.noise_sigma={config.power.noise_sigma} != 0")
+    if config.machine.threads_per_core > 2:
+        reasons.append("threads_per_core > 2 (sibling map is single-valued)")
+    return reasons
+
+
 def check_fleet_supported(system: System) -> None:
     """Raise :class:`FleetUnsupported` unless ``system`` is fleet-eligible.
 
-    The checks mirror exactly what the array layout models; anything
-    else must run on the scalar engine (the runner falls back to the
-    process pool for such jobs).
+    The checks mirror exactly what the array layout models: the
+    configuration's (:func:`fleet_config_reasons`), then the built
+    instance's.  Anything else must run on the scalar engine (the
+    runner falls back to the process pool for such jobs).
     """
-    reasons = []
+    reasons = fleet_config_reasons(
+        system.config, system.workload, system.policy_spec
+    )
     if not system.fast_path:
         reasons.append("fast_path=False (scalar reference path requested)")
     if system.validator is not None:
@@ -131,20 +156,6 @@ def check_fleet_supported(system: System) -> None:
         reasons.append("observer installed")
     if system.fault_injector is not None:
         reasons.append("fault injector installed")
-    if system.config.throttle.enabled:
-        reasons.append("throttling/DVFS enabled")
-    if system._has_power_caps:
-        reasons.append("energy containers (power caps) in the workload")
-    if system.config.counter_jitter_sigma != 0.0:
-        reasons.append(
-            f"counter_jitter_sigma={system.config.counter_jitter_sigma} != 0"
-        )
-    if system.config.power.noise_sigma != 0.0:
-        reasons.append(f"power.noise_sigma={system.config.power.noise_sigma} != 0")
-    if system.config.machine.threads_per_core > 2:
-        reasons.append("threads_per_core > 2 (sibling map is single-valued)")
-    if len({len(cpus) for cpus in system._pkg_cpus}) != 1:
-        reasons.append("ragged package sizes (thermal reduction needs a matrix)")
     if reasons:
         raise FleetUnsupported(
             "system not fleet-eligible: " + "; ".join(reasons)
@@ -314,14 +325,11 @@ class FleetEngine:
         self._sc_pkg_f2 = f((M, P))
         self._sc_pkg_f3 = f((M, P))
         self._sc_pkg_f4 = f((M, P))
-        # (P, k) cpu-index matrix when every package has the same number
-        # of cpus (column j = j-th cpu of each package, ascending) —
-        # lets _thermal reduce packages in k vector steps instead of a
-        # python loop over P packages
-        sizes = {len(cs) for cs in self.pkg_cpus}
-        self.pkg_idx = (
-            np.asarray(self.pkg_cpus, dtype=np.intp) if len(sizes) == 1 else None
-        )
+        # (P, k) cpu-index matrix (every package holds cores_per_package
+        # x threads_per_core cpus; column j = j-th cpu of each package,
+        # ascending) — lets _thermal reduce packages in k vector steps
+        # instead of a python loop over P packages
+        self.pkg_idx = np.asarray(self.pkg_cpus, dtype=np.intp)
         # lane caches refreshed only when some slot's current changes
         # (dirty flag set by _resync_slot); constants for the all-busy
         # fast path; scalar gates for the wake/fork scans
@@ -482,10 +490,6 @@ class FleetEngine:
         beh._wobble_remaining_s = float(self.wob_rem[m, c])
         beh._phase_remaining_s = float(self.phase_rem[m, c])
 
-    def _resync_machine(self, m: int) -> None:
-        for c in range(self.n_cpus):
-            self._resync_slot(m, c)
-
     def _recompute_wake_next(self, m: int) -> None:
         blocked = self.systems[m]._blocked
         self.wake_next[m] = (
@@ -522,7 +526,7 @@ class FleetEngine:
         sys_._est_pkg_power[:] = self.est_pkg[m].tolist()
 
     def _flush_machine(self, m: int) -> None:
-        """Full write-back: results, probes, checkpoints all read this."""
+        """Full write-back: results and probes read this."""
         self.stats.flushes += 1
         sys_ = self.systems[m]
         sys_._now_ms = self.clock.now_ms
@@ -659,10 +663,7 @@ class FleetEngine:
                 self.wob_rem[m, c] = beh._wobble_remaining_s
                 self.phase_rem[m, c] = beh._phase_remaining_s
                 cyc = float(cycles[m, c])
-                cache = sys_._tick_cache
-                entry = cache.cache.get((id(mix), cyc))
-                if entry is None or entry[0] is not mix:
-                    entry = cache.miss(mix, cyc)
+                entry = sys_._tick_cache.lookup(mix, cyc)
                 self.mix_ref[m][c] = mix
                 self.base_inc[m, c, :] = entry[1]
                 if entry[4] > self._max_inc:
@@ -691,10 +692,7 @@ class FleetEngine:
                 c = int(c)
                 mix = self.mix_ref[m][c]
                 cyc = float(cycles[m, c])
-                cache = systems[m]._tick_cache
-                entry = cache.cache.get((id(mix), cyc))
-                if entry is None or entry[0] is not mix:
-                    entry = cache.miss(mix, cyc)
+                entry = systems[m]._tick_cache.lookup(mix, cyc)
                 self.base_inc[m, c, :] = entry[1]
                 if entry[4] > self._max_inc:
                     self._max_inc = entry[4]
@@ -1138,11 +1136,6 @@ class FleetEngine:
                 )
         self.stats.machine_ticks += n_ticks * self.n_machines
 
-    def run_until_tick(self, total_ticks: int) -> None:
-        remaining = total_ticks - self.clock.ticks
-        if remaining > 0:
-            self.run_ticks(remaining)
-
     def run_for(self, seconds: float) -> None:
         if seconds <= 0:
             raise ValueError(f"duration must be positive, got {seconds}")
@@ -1157,37 +1150,3 @@ class FleetEngine:
             SimulationResult(system=sys_, duration_s=duration_s)
             for sys_ in self.systems
         ]
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A versioned fleet checkpoint: header + per-member snapshots.
-
-        Restoring (:meth:`restore`) rebuilds every member System and
-        re-attaches a fresh fleet; the continued run is bit-identical to
-        the uninterrupted one (asserted by tests/test_fleet_checkpoint.py).
-        """
-        self.sync()
-        return {
-            "schema": f"{FLEET_CHECKPOINT_SCHEMA}/{FLEET_CHECKPOINT_VERSION}",
-            "version": FLEET_CHECKPOINT_VERSION,
-            "tick_ms": self.tick_ms,
-            "now_ms": self.clock.now_ms,
-            "ticks": self.clock.ticks,
-            "n_machines": self.n_machines,
-            "members": [sys_.snapshot() for sys_ in self.systems],
-        }
-
-    @classmethod
-    def restore(cls, snapshot: dict) -> "FleetEngine":
-        schema = snapshot.get("schema")
-        expected = f"{FLEET_CHECKPOINT_SCHEMA}/{FLEET_CHECKPOINT_VERSION}"
-        if schema != expected:
-            raise ValueError(
-                f"unsupported fleet checkpoint schema {schema!r}; this build "
-                f"reads {expected!r}"
-            )
-        systems = [System.restore(member) for member in snapshot["members"]]
-        return cls(systems)
-

@@ -2,13 +2,16 @@
 
 With ``engine="fleet"``, :func:`~repro.runner.executor.run_grid`
 resolves journal replays and cache hits as usual and then hands the
-remaining jobs to :func:`run_fleet_stage`.  Scenario specs whose parsed
-systems are fleet-eligible (see :func:`repro.fleet.check_fleet_supported`)
-are grouped by machine topology, tick length, and duration, packed into
+remaining jobs to :func:`run_fleet_stage`.  Each scenario spec is parsed
+once; those whose configuration the arrays model (see
+:func:`repro.fleet.fleet_config_reasons`) are grouped by machine
+topology, tick length, and duration, packed into
 :class:`~repro.fleet.FleetEngine` batches of up to :data:`FLEET_SIZE`
-members, and advanced N machines per tick.  Everything else — registry
-experiments, ineligible scenarios, ragged remainders that are not worth
-a batch — is left to ``run_grid``'s own serial or supervised-pool path.
+members, and advanced N machines per tick.  A member's
+:class:`~repro.system.System` is built only when its batch is about to
+run.  Everything else — registry experiments, ineligible scenarios,
+ragged remainders that are not worth a batch — is left to
+``run_grid``'s own serial or supervised-pool path, which builds it once.
 
 Results are byte-identical to the pool path: a fleet member is the same
 :class:`~repro.system.System` built the same way ``execute_spec``
@@ -43,38 +46,34 @@ FLEET_SIZE = 64
 MIN_FLEET_BATCH = 2
 
 
-def _build_member(spec: JobSpec):
-    """Parse one scenario spec and build its System, or explain why not.
+def _fleet_candidate(spec: JobSpec):
+    """Parse one scenario spec and say whether the fleet can run it.
 
-    Returns ``(scenario, system, None)`` for a fleet-eligible job and
-    ``(None, None, reason)`` otherwise.  Build errors are not raised
-    here — the pool path will surface them with the executor's full
-    retry/quarantine machinery.
+    Returns ``(scenario, None)`` for a job whose configuration the
+    arrays model and ``(None, reason)`` otherwise.  Nothing is built
+    here, and parse errors are not raised — the pool path will surface
+    them with the executor's full retry/quarantine machinery.
     """
-    from repro.fleet import FleetUnsupported, check_fleet_supported
+    from repro.fleet import fleet_config_reasons
     from repro.scenario import parse_scenario
-    from repro.system import System
 
     if spec.experiment is not None:
-        return None, None, "experiment specs always run on the pool"
+        return None, "experiment specs always run on the pool"
     data = spec.scenario_data()
     if data.get("obs"):
-        return None, None, "observability requested"
+        return None, "observability requested"
     if data.get("options"):
-        return None, None, "run options requested"
+        return None, "run options requested"
     try:
         scenario = parse_scenario(data)
-        system = System(
-            scenario.config,
-            scenario.workload,
-            policy=scenario.policy,
-        )
-        check_fleet_supported(system)
-    except FleetUnsupported as exc:
-        return None, None, str(exc)
     except Exception as exc:
-        return None, None, f"build failed ({type(exc).__name__}: {exc})"
-    return scenario, system, None
+        return None, f"build failed ({type(exc).__name__}: {exc})"
+    reasons = fleet_config_reasons(
+        scenario.config, scenario.workload, scenario.policy
+    )
+    if reasons:
+        return None, "not fleet-eligible: " + "; ".join(reasons)
+    return scenario, None
 
 
 def _machine_key(scenario) -> tuple:
@@ -101,21 +100,20 @@ def run_fleet_stage(
     batch runs and ``finish(i, outcome, engine="fleet")`` after, the
     callbacks ``run_grid`` gives its serial and pool paths.  Jobs left
     unfinished — ineligible, in a chunk smaller than
-    :data:`MIN_FLEET_BATCH`, in a batch that raised, or not reached
-    before ``stop_event`` was set — are the caller's to run.  Returns
-    the :class:`repro.fleet.FleetStats` merged over every batch that
-    completed, or ``None`` if none did.
+    :data:`MIN_FLEET_BATCH`, in a batch that failed to build or raised,
+    or not reached before ``stop_event`` was set — are the caller's to
+    run.  Returns the :class:`repro.fleet.FleetStats` merged over every
+    batch that completed, or ``None`` if none did.
     """
     from repro.fleet import FleetEngine, FleetStats
+    from repro.system import System
 
-    groups: dict[tuple, list[tuple[int, object, object]]] = {}
+    groups: dict[tuple, list[tuple[int, object]]] = {}
     for i in indices:
-        scenario, system, _reason = _build_member(specs[i])
+        scenario, _reason = _fleet_candidate(specs[i])
         if scenario is not None:
-            groups.setdefault(_machine_key(scenario), []).append(
-                (i, scenario, system)
-            )
-    batches: list[list[tuple[int, object, object]]] = []
+            groups.setdefault(_machine_key(scenario), []).append((i, scenario))
+    batches: list[list[tuple[int, object]]] = []
     for key in sorted(groups, key=str):
         group = groups[key]
         for lo in range(0, len(group), FLEET_SIZE):
@@ -127,14 +125,22 @@ def run_fleet_stage(
     for batch_no, chunk in enumerate(batches):
         if stop_event is not None and stop_event.is_set():
             break
+        try:
+            systems = [
+                System(scenario.config, scenario.workload,
+                       policy=scenario.policy)
+                for _i, scenario in chunk
+            ]
+        except Exception:
+            continue  # the pool reports the build error per job
         batch_start = time.monotonic()
         if bus is not None:
             bus.emit("fleet_chunk_started", chunk=batch_no,
                      members=len(chunk))
-        for i, _scenario, _system in chunk:
+        for i, _scenario in chunk:
             start(i, engine="fleet")
         try:
-            engine = FleetEngine([system for _i, _sc, system in chunk])
+            engine = FleetEngine(systems)
             engine.event_bus = bus
             duration_s = chunk[0][1].duration_s
             engine.run_for(duration_s)
@@ -152,7 +158,7 @@ def run_fleet_stage(
         fleet_stats.merge(engine.stats)
         elapsed = time.monotonic() - batch_start
         per_job = elapsed / len(chunk)
-        for (i, scenario, _system), result in zip(chunk, results):
+        for (i, scenario), result in zip(chunk, results):
             finish(i, JobOutcome(
                 spec=specs[i],
                 result=scenario_result(scenario, result),

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.runner.spec import JobSpec, parse_seeds
+from repro.scenario import converted
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,22 @@ class GridEntry:
     specs: tuple[JobSpec, ...]
 
 
+def _float_list(values: list) -> list[float]:
+    if not isinstance(values, list):
+        raise TypeError("not a list")
+    return [float(v) for v in values]
+
+
 def _entry_durations(entry: Mapping[str, Any]) -> list[float | None]:
     if "durations" in entry and "duration_s" in entry:
         raise ValueError("give either 'duration_s' or 'durations', not both")
     if "durations" in entry:
-        durations = [float(d) for d in entry["durations"]]
+        durations = converted(entry, "durations", _float_list)
         if not durations:
             raise ValueError("'durations' must not be empty")
         return durations
     if "duration_s" in entry:
-        return [float(entry["duration_s"])]
+        return [converted(entry, "duration_s", float)]
     return [None]
 
 
@@ -63,7 +70,15 @@ def expand_entry(entry: Mapping[str, Any]) -> GridEntry:
     unknown = set(entry) - known
     if unknown:
         raise ValueError(f"unknown grid-entry keys: {sorted(unknown)}")
-    seeds = parse_seeds(entry["seeds"]) if "seeds" in entry else (None,)
+    for key in ("scenario", "overrides"):
+        if key in entry and not isinstance(entry[key], Mapping):
+            raise ValueError(
+                f"{key!r} must be a JSON object, not {entry[key]!r}"
+            )
+    seeds = (
+        converted(entry, "seeds", parse_seeds) if "seeds" in entry
+        else (None,)
+    )
     specs = tuple(
         JobSpec(
             experiment=entry.get("experiment"),

@@ -97,6 +97,52 @@ class Scenario:
         )
 
 
+def converted(spec: Mapping, key: str, convert, *default):
+    """``convert(spec[key])``, or ``convert(default)`` when the key is absent.
+
+    A value ``convert`` rejects — ``null``, a string or a list where a
+    number belongs, ``Infinity`` for an integer — raises ``ValueError``
+    naming the key.  An absent key without a default is a ``KeyError``.
+    """
+    value = spec.get(key, *default) if default else spec[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {key!r} value {value!r} ({exc})") from None
+
+
+def _optional(spec: Mapping, key: str, convert):
+    """:func:`converted` for a setting that ``null`` or absence leaves unset."""
+    return None if spec.get(key) is None else converted(spec, key, convert)
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _non_negative(value) -> float:
+    number = _finite(value)
+    if number < 0:
+        raise ValueError("must be non-negative")
+    return number
+
+
+def _positive(value) -> float:
+    number = _finite(value)
+    if number <= 0:
+        raise ValueError("must be positive")
+    return number
+
+
+def _cpu_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError("must be a list of CPU ids")
+    return tuple(int(cpu) for cpu in value)
+
+
 def _block(data: Mapping, key: str, default=None):
     """``data[key]`` (``default`` when absent), which must be an object."""
     value = data.get(key, default)
@@ -110,20 +156,20 @@ def _parse_machine(spec: dict) -> MachineSpec:
     if preset == "ibm_x445":
         return MachineSpec.ibm_x445(smt=bool(spec.get("smt", True)))
     if preset == "smp":
-        return MachineSpec.smp(int(spec["n_cpus"]))
+        return MachineSpec.smp(converted(spec, "n_cpus", int))
     if preset == "cmp":
         return MachineSpec.cmp(
-            packages=int(spec.get("packages", 2)),
-            cores=int(spec.get("cores", 2)),
+            packages=converted(spec, "packages", int, 2),
+            cores=converted(spec, "cores", int, 2),
             smt=bool(spec.get("smt", False)),
         )
     if preset is not None:
         raise ValueError(f"unknown machine preset {preset!r}")
     return MachineSpec(
-        nodes=int(spec.get("nodes", 1)),
-        packages_per_node=int(spec.get("packages_per_node", 1)),
-        cores_per_package=int(spec.get("cores_per_package", 1)),
-        threads_per_core=int(spec.get("threads_per_core", 1)),
+        nodes=converted(spec, "nodes", int, 1),
+        packages_per_node=converted(spec, "packages_per_node", int, 1),
+        cores_per_package=converted(spec, "cores_per_package", int, 1),
+        threads_per_core=converted(spec, "threads_per_core", int, 1),
     )
 
 
@@ -142,9 +188,9 @@ def _parse_thermal(spec, n_packages: int):
             f"not {spec!r}"
         )
     return ThermalParams(
-        r_k_per_w=float(spec.get("r_k_per_w", 0.30)),
-        c_j_per_k=float(spec.get("c_j_per_k", 66.7)),
-        ambient_c=float(spec.get("ambient_c", 25.0)),
+        r_k_per_w=converted(spec, "r_k_per_w", _positive, 0.30),
+        c_j_per_k=converted(spec, "c_j_per_k", _positive, 66.7),
+        ambient_c=converted(spec, "ambient_c", _finite, 25.0),
     )
 
 
@@ -152,19 +198,13 @@ def _parse_task(entry: dict) -> TaskSpec:
     if not isinstance(entry, Mapping):
         raise ValueError(f"each task must be a JSON object, not {entry!r}")
     return TaskSpec(
-        program=program(entry["program"]),
-        arrival_s=float(entry.get("arrival_s", 0.0)),
-        solo_job_s=(
-            float(entry["solo_job_s"]) if "solo_job_s" in entry else None
-        ),
+        program=converted(entry, "program", program),
+        arrival_s=converted(entry, "arrival_s", float, 0.0),
+        solo_job_s=_optional(entry, "solo_job_s", float),
         respawn=entry.get("respawn", "restart_same"),
-        nice=int(entry.get("nice", 0)),
-        cpus_allowed=(
-            tuple(entry["cpus_allowed"]) if "cpus_allowed" in entry else None
-        ),
-        power_cap_w=(
-            float(entry["power_cap_w"]) if "power_cap_w" in entry else None
-        ),
+        nice=converted(entry, "nice", int, 0),
+        cpus_allowed=_optional(entry, "cpus_allowed", _cpu_list),
+        power_cap_w=_optional(entry, "power_cap_w", float),
     )
 
 
@@ -178,24 +218,26 @@ def _parse_workload(spec: dict) -> WorkloadSpec:
         return WorkloadSpec(name=spec.get("name", "scenario"), tasks=tasks)
     builder = spec.get("builder")
     if builder == "mixed_table2":
-        return mixed_table2_workload(int(spec.get("copies", 3)))
+        return mixed_table2_workload(converted(spec, "copies", int, 3))
     if builder == "steady_mix":
         return steady_mix_workload(
-            int(spec.get("copies", 4)),
-            wobble_interval_s=float(spec.get("wobble_interval_s", 10.0)),
+            converted(spec, "copies", int, 4),
+            wobble_interval_s=converted(spec, "wobble_interval_s", float, 10.0),
         )
     if builder == "single_program":
         return single_program_workload(
-            spec["program"], int(spec.get("n", 1))
+            spec["program"], converted(spec, "n", int, 1)
         )
     if builder == "homogeneity":
         return homogeneity_scenario(
-            int(spec["memrw"]), int(spec["pushpop"]), int(spec["bitcnts"])
+            converted(spec, "memrw", int),
+            converted(spec, "pushpop", int),
+            converted(spec, "bitcnts", int),
         )
     if builder == "short_tasks":
         return short_task_storm(
-            total_slots=int(spec.get("slots", 18)),
-            job_s=float(spec.get("job_s", 0.6)),
+            total_slots=converted(spec, "slots", int, 18),
+            job_s=converted(spec, "job_s", float, 0.6),
         )
     raise ValueError(f"unknown workload builder {builder!r}")
 
@@ -211,8 +253,9 @@ def parse_scenario(data: dict) -> Scenario:
 
     Raises ``ValueError`` when the document or a nested block
     (``machine``, ``workload`` and its tasks, ``throttle``, ``power``,
-    ``thermal``, ``generator``) is not an object, or when
-    ``duration_s`` is not a positive finite number.
+    ``thermal``, ``generator``) is not an object, and, naming the key,
+    when a value has the wrong type or range (``duration_s`` must be a
+    positive finite number, ``copies`` an integer, and so on).
     """
     if not isinstance(data, Mapping):
         raise ValueError(
@@ -230,16 +273,7 @@ def parse_scenario(data: dict) -> Scenario:
     if "workload" not in data:
         raise ValueError("a scenario needs a 'workload' object")
     workload_spec = _block(data, "workload")
-    duration = data.get("duration_s", 300.0)
-    try:
-        duration_s = float(duration)
-    except (TypeError, ValueError):
-        duration_s = math.nan
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(
-            f"'duration_s' must be a positive number of seconds, "
-            f"not {duration!r}"
-        )
+    duration_s = converted(data, "duration_s", _positive, 300.0)
     machine = _parse_machine(machine_spec)
     throttle = ThrottleConfig(
         enabled=bool(throttle_spec.get("enabled", False)),
@@ -258,31 +292,39 @@ def parse_scenario(data: dict) -> Scenario:
         ("balance_interval_ms", int),
         ("idle_balance_interval_ms", int),
         ("hot_check_interval_ms", int),
-        ("sample_interval_s", float),
+        ("sample_interval_s", _non_negative),
         ("smt_thread_factor", float),
-        ("counter_jitter_sigma", float),
+        ("counter_jitter_sigma", _non_negative),
     ):
         if key in data:
-            kwargs[key] = conv(data[key])
+            kwargs[key] = converted(data, key, conv)
     if power_spec is not None:
         kwargs["power"] = PowerModelParams(
-            noise_sigma=float(power_spec.get("noise_sigma", 0.015)),
+            noise_sigma=converted(power_spec, "noise_sigma", _non_negative, 0.015),
         )
     config = SystemConfig(
         machine=machine,
         thermal=_parse_thermal(data.get("thermal"), machine.n_packages),
-        temp_limit_c=data.get("temp_limit_c"),
-        max_power_per_cpu_w=data.get("max_power_per_cpu_w"),
+        temp_limit_c=_optional(data, "temp_limit_c", _finite),
+        max_power_per_cpu_w=_optional(data, "max_power_per_cpu_w", _positive),
         throttle=throttle,
-        seed=int(data.get("seed", 1)),
+        seed=converted(data, "seed", int, 1),
         **kwargs,
     )
+    if config.temp_limit_c is not None and any(
+        config.package_max_power_w(pkg) <= 0
+        for pkg in range(machine.n_packages)
+    ):
+        raise ValueError(
+            f"'temp_limit_c' {config.temp_limit_c!r} must lie above the "
+            f"ambient temperature"
+        )
     return Scenario(
         config=config,
         workload=_parse_workload(workload_spec),
         # A name or a {"name": ..., "params": {...}} mapping; unknown
         # names/params raise here, before any run starts.
-        policy=PolicySpec.coerce(data.get("policy", "energy")),
+        policy=converted(data, "policy", PolicySpec.coerce, "energy"),
         duration_s=duration_s,
     )
 

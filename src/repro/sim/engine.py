@@ -2,10 +2,11 @@
 
 The :class:`Engine` owns the clock and a list of components implementing
 :class:`TickComponent`.  Each simulated tick it calls every component's
-``tick`` hook in registration order.  Registration order therefore defines
-the intra-tick phase order; the simulator registers (1) the scheduler /
-execution step, (2) the thermal step, (3) the throttle controller, and
-(4) the workload driver.
+``tick`` hook in registration order.  The simulator registers one
+component, the :class:`repro.system.System`, whose ``tick`` runs the
+intra-tick phases in order (wake/fork, dispatch, execution, thermal,
+throttle, housekeeping, sampling); ``repro validate``'s fault runs
+register a :class:`repro.validate.faults.FaultInjector` after it.
 """
 
 from __future__ import annotations

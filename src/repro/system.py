@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.containers import ContainerConfig, ContainerManager
-from repro.core.metrics import CpuStateBlock, MetricsBoard
+from repro.core.metrics import MetricsBoard
 from repro.core.policy import (
     BaselinePolicy,
     EnergyAwareConfig,
@@ -76,7 +76,7 @@ CHECKPOINT_VERSION = 1
 #: pure memo (cleared and recomputed on demand, values bit-identical by
 #: construction) or an alias into state that pickle cannot preserve
 #: (numpy views lose their base; bound-method shadows rebind to the old
-#: object).  ``__setstate__`` re-derives them all.
+#: object).  :meth:`System._derive` sets them all.
 _DERIVED_ATTRS = (
     "tick",            # profiled-tick method shadow (bound to the old self)
     "_pmc_gauss",      # bound methods of the per-CPU jitter streams
@@ -326,7 +326,6 @@ class System:
         self._running = [False] * self.n_cpus
         self._est_power = [0.0] * self.n_cpus
         self._dyn_power = [0.0] * self.n_cpus
-        self._mix_cache: dict[int, tuple[object, float]] = {}
         self.instructions_retired: dict[str, float] = {}
         self._est_err_sum = 0.0
         self._est_err_n = 0
@@ -344,28 +343,9 @@ class System:
         self.max_temp_err_k = 0.0
         self.max_temp_seen_c = max(idle_temps)
 
-        # -- struct-of-arrays state block ---------------------------------------
-        # All columns are shared by reference with the board, the throttle
-        # controller, and the per-tick lists above; the block is a live
-        # window onto the machine state, advanced wholesale by the batched
-        # tick path.
-        self.state = CpuStateBlock(
-            thermal_w=self.metrics.thermal_w,
-            max_power_w=self.metrics.max_power,
-            est_power_w=self._est_power,
-            dyn_power_w=self._dyn_power,
-            running=self._running,
-            freq_scale=self._freq_scale,
-            throttled=self.throttle.throttled,
-            pkg_temp_c=self._pkg_temp_c,
-            pkg_est_temp_c=self._pkg_est_temp_c,
-            pkg_est_power_w=self._est_pkg_power,
-        )
-
         # -- fast-path scratch ---------------------------------------------------
         # Hoisted topology tables (pure lookups, identical values to the
-        # Topology methods the scalar path calls) and memoisation keyed on
-        # the tick length, which is constant within a run.
+        # Topology methods the scalar path calls); _derive sets the memos.
         self._pkg_cpus = [
             tuple(self.topology.cpus_of_package(p)) for p in range(spec.n_packages)
         ]
@@ -374,39 +354,18 @@ class System:
         self._meter_rngs = [
             self.rng.stream(f"meter:{pkg}") for pkg in range(spec.n_packages)
         ]
-        self._meter_gauss = [r.gauss for r in self._meter_rngs]
         self._rq_list = [self.runqueues[c] for c in range(self.n_cpus)]
-        self._tick_cache = TickEnergyCache(
-            self.estimator, self.power, self.exec_model.freq_hz
-        )
-        # Bound gauss methods of the per-CPU PMC jitter streams — the
-        # factory caches streams, so these are the very same RNG objects
-        # the counter banks draw from.
-        self._pmc_rngs = [self.rng.stream(f"pmc:{c}") for c in range(self.n_cpus)]
-        self._pmc_gauss = [r.gauss for r in self._pmc_rngs]
-        self._sib1 = _sib1_table(self._siblings)
-        self._pkg_pairs = [
-            cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
-        ]
         # The container manager only ever holds tasks whose slot carries a
         # power cap, and respawns reuse the same slot specs, so a capless
         # workload keeps it empty for the whole run.
-        self._has_power_caps = any(
-            s.power_cap_w is not None for s in workload.tasks
-        )
-        # All counter banks share one counts matrix so the batched path
-        # can credit every bank in one operation and reduce it only near
-        # a wrap; the per-bank credit path mutates its row in place and
-        # stays equivalent.
+        self._has_power_caps = workload.has_power_caps
+        # All counter banks share one counts matrix (bound by _derive) so
+        # the batched path can credit every bank in one operation and
+        # reduce it only near a wrap; the per-bank credit path mutates
+        # its row in place and stays equivalent.
         self._counts_mx = np.zeros((self.n_cpus, N_EVENTS))
-        for c, bank in enumerate(self.banks):
-            bank.bind_row(self._counts_mx[c])
         self._counter_modulus = self.banks[0].modulus
-        self._reset_credit_state()
         self._thermal_in_w = [0.0] * self.n_cpus
-        self._cycles_for_dt: tuple[float, float, float] | None = None
-        self._rc_decay_dt: float | None = None
-        self._rc_decays: list[float] = []
 
         # -- optional runtime validation -----------------------------------------
         # Off by default: the disabled cost is one attribute test per
@@ -426,23 +385,12 @@ class System:
         # asked for it, one attribute test per hook site when disabled,
         # lazy import to keep repro.obs off the hot import path.
         self.observer = None
-        # Pre-bound hook-site aliases: the tick-rate paths read one
-        # attribute (almost always None) instead of chasing
-        # observer -> audit / balance_hist and branching every tick.
-        self._obs_audit = None
-        self._obs_balance_hist = None
         if obs:
             from repro.obs.observer import ObservabilityConfig, Observer
 
             oconfig = ObservabilityConfig.coerce(obs)
             if oconfig is not None:
                 self.observer = Observer(self, oconfig)
-                self._obs_audit = self.observer.audit
-                self._obs_balance_hist = self.observer.balance_hist
-                if self.observer.profile is not None:
-                    # Shadow the bound method with the timed variant so
-                    # the normal tick loop carries no profiling branch.
-                    self.tick = self._tick_profiled
 
         # Tick periods.
         tick = config.tick_ms
@@ -451,8 +399,7 @@ class System:
         self._idle_balance_ticks = max(1, config.idle_balance_interval_ms // tick)
         self._hot_check_ticks = max(1, config.hot_check_interval_ms // tick)
         self._sample_every = max(1, int(config.sample_interval_s * 1000) // tick)
-        self._hk_tables: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._next_fork_ms = _next_arrival_ms(self.slots)
+        self._derive()
 
     # ------------------------------------------------------------------------
     # Checkpointing
@@ -461,11 +408,10 @@ class System:
     # thermal RC state, the RNG factory with the exact Mersenne state of
     # every stream, tracer series/events/counters, and (when enabled)
     # the validator and observer.  Shared references — streams handed to
-    # behaviors and banks, list columns shared between the metrics board
-    # and the state block, tasks on runqueues and in slots — survive via
+    # behaviors and banks, tasks on runqueues and in slots — survive via
     # the pickle memo.  Only the derived attributes in _DERIVED_ATTRS
-    # are dropped and rebuilt, so a restored system continues the run
-    # bit-identically (asserted per pinned scenario in
+    # are dropped and rebuilt (by _derive), so a restored system
+    # continues the run bit-identically (asserted per pinned scenario in
     # tests/test_resilience_checkpoint.py).
 
     def __getstate__(self) -> dict:
@@ -476,52 +422,62 @@ class System:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Re-alias each counter bank onto its matrix row: the values are
-        # already equal (the row and the bank's standalone copy pickled
-        # from the same memory), so rebinding only restores the aliasing
-        # the batched path needs.
+        self._derive()
+        if self.observer is not None and self.observer.audit is not None:
+            self.observer.audit.rearm(lambda: self._now_ms)
+
+    def _derive(self) -> None:
+        """Set every attribute in ``_DERIVED_ATTRS`` from the run state.
+
+        ``__init__`` calls it once the machine is built and
+        ``__setstate__`` once a checkpoint is loaded, so a restored
+        system starts from the same empty memos and fresh aliases as a
+        new one.  It also re-aliases each counter bank onto its row of
+        the counts matrix: the values are already equal (fresh zeros,
+        or the row and the bank's copy pickled from the same memory),
+        so this only restores the aliasing the batched path needs.
+        """
         for c, bank in enumerate(self.banks):
             bank.bind_row(self._counts_mx[c])
+        # Bound gauss methods of the per-CPU PMC jitter streams — the
+        # factory caches streams, so these are the very same RNG objects
+        # the counter banks draw from.
         self._pmc_rngs = [self.rng.stream(f"pmc:{c}") for c in range(self.n_cpus)]
         self._pmc_gauss = [r.gauss for r in self._pmc_rngs]
         self._meter_gauss = [r.gauss for r in self._meter_rngs]
-        self._sib1 = _sib1_table(self._siblings)
-        self._hk_tables = None
-        self._next_fork_ms = _next_arrival_ms(self.slots)
-        self._reset_credit_state()
-        self._pkg_pairs = [
-            cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
-        ]
-        self._mix_cache = {}
+        self._mix_cache: dict[int, tuple[object, float]] = {}
         self._tick_cache = TickEnergyCache(
             self.estimator, self.power, self.exec_model.freq_hz
         )
-        self._cycles_for_dt = None
-        self._rc_decay_dt = None
-        self._rc_decays = []
-        observer = self.observer
-        self._obs_audit = observer.audit if observer is not None else None
-        self._obs_balance_hist = (
-            observer.balance_hist if observer is not None else None
-        )
-        if observer is not None:
-            if observer.audit is not None:
-                observer.audit.rearm(lambda: self._now_ms)
-            if observer.profile is not None:
-                self.tick = self._tick_profiled
-
-    def _reset_credit_state(self) -> None:
-        """Fresh batched-credit state: empty memos, a remainder next tick.
-
-        Every CPU's memo misses on its next run and refills its row of
-        the increments matrix, and the first tick reduces the registers
-        before it computes a new wrap horizon.
-        """
+        self._cycles_for_dt: tuple[float, float, float] | None = None
+        self._rc_decay_dt: float | None = None
+        self._rc_decays: list[float] = []
+        self._sib1 = _sib1_table(self._siblings)
+        self._pkg_pairs = [
+            cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
+        ]
+        self._hk_tables: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._next_fork_ms = _next_arrival_ms(self.slots)
+        # Batched-credit state: every CPU's memo misses on its next run
+        # and refills its row of the increments matrix, and the first
+        # tick reduces the registers before it computes a wrap horizon.
         self._exec_memo: list[tuple | None] = [None] * self.n_cpus
         self._inc_mx = np.zeros((self.n_cpus, N_EVENTS))
         self._jit_col = np.zeros((self.n_cpus, 1))
         self._inc_max = 0.0
         self._wrap_skip = 0
+        # Pre-bound hook-site aliases: the tick-rate paths read one
+        # attribute (almost always None) instead of chasing
+        # observer -> audit / balance_hist and branching every tick.
+        observer = self.observer
+        self._obs_audit = observer.audit if observer is not None else None
+        self._obs_balance_hist = (
+            observer.balance_hist if observer is not None else None
+        )
+        if observer is not None and observer.profile is not None:
+            # Shadow the bound method with the timed variant so the
+            # normal tick loop carries no profiling branch.
+            self.tick = self._tick_profiled
 
     def snapshot(self) -> dict:
         """A versioned, self-contained checkpoint of the machine.
@@ -888,8 +844,7 @@ class System:
         # When no workload slot carries a power cap the container manager
         # stays empty for the whole run; skip its per-CPU checks outright.
         use_containers = self._has_power_caps
-        cache_get = self._tick_cache.cache.get
-        cache_miss = self._tick_cache.miss
+        cache_lookup = self._tick_cache.lookup
         pmc_rngs = self._pmc_rngs
         pmc_gauss = self._pmc_gauss
         # The fault injector perturbs counters by shadowing the jitter
@@ -961,9 +916,7 @@ class System:
             if memo is not None and memo[0] is mix and memo[1] == cycles:
                 entry = memo[2]
             else:
-                entry = cache_get((id(mix), cycles))
-                if entry is None or entry[0] is not mix:
-                    entry = cache_miss(mix, cycles)
+                entry = cache_lookup(mix, cycles)
                 exec_memo[c] = (mix, cycles, entry)
                 inc_mx[c] = entry[1]
                 if entry[4] > self._inc_max:
@@ -1296,8 +1249,9 @@ class System:
                 rng.gauss_next = _sin(x2pi) * g2rad
             true_w = clean * (1.0 + z * noise_sigma)
             decay = decays[pkg]
-            # Inlined ThermalRC.step_with_decay (both RCs) — same
-            # expression on the same cached operands.
+            # Inlined ThermalRC.step (both RCs): its expression, with
+            # rc_decay's factor and steady_state_c spelled out on the
+            # RC's cached operands.
             rc = true_rc[pkg]
             target = rc._ambient_c + true_w * rc._r_k_per_w
             true_temp = target + (rc._temp_c - target) * decay

@@ -252,10 +252,6 @@ class InvariantChecker:
         self._prev_pkg_energy: list[float] | None = None
 
     # -- reporting ----------------------------------------------------------
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
     def violations_for(self, name: str) -> list[Violation]:
         return [v for v in self.violations if v.invariant == name]
 

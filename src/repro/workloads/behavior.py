@@ -110,10 +110,6 @@ class Behavior:
     def current_phase(self) -> PhaseSpec:
         return self.phases[self._phase_index]
 
-    @property
-    def phase_label(self) -> str:
-        return self.current_phase.mix.label
-
     def step(self, busy_dt_s: float) -> InstructionMix:
         """Advance ``busy_dt_s`` of execution; return the mix to run.
 

@@ -104,6 +104,11 @@ class WorkloadSpec:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    @property
+    def has_power_caps(self) -> bool:
+        """Whether any slot carries an energy-container cap (§2.3)."""
+        return any(t.power_cap_w is not None for t in self.tasks)
+
     def program_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for t in self.tasks:

@@ -91,7 +91,8 @@ class Harness:
         return task
 
     def set_thermal(self, cpu: int, power_w: float) -> None:
-        self.metrics.cpu(cpu).thermal.prime(power_w)
+        self.metrics.thermal_w[cpu] = float(power_w)
+        self.metrics.thermal_epoch += 1
 
     def migrate(self, task: Task, src: int, dst: int, reason: str = "test") -> None:
         """Migration callback recording moves and applying them."""

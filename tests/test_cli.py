@@ -17,7 +17,6 @@ class TestRegistry:
     def test_entries_have_descriptions(self):
         for info in REGISTRY.values():
             assert info.description
-            assert callable(info.run)
             assert callable(info.metrics)
             assert callable(info.render)
 
@@ -116,24 +115,55 @@ class TestCli:
 
 
 class TestRunAll:
-    def test_combined_report_contains_every_experiment(self, monkeypatch):
-        # Patch the registry runners so the meta-run is instant.
+    """``run`` with no name, or several, prints one section per name."""
+
+    @pytest.fixture
+    def instant_registry(self, monkeypatch):
+        # Patch the registry entries so the meta-run is instant.
         import repro.experiments as exp
 
+        calls = []
         for name, info in list(exp.REGISTRY.items()):
-            metrics = (lambda duration_s=None, seed=None, n=name:
-                       {"experiment": n, "scalars": {}})
+            def metrics(duration_s=None, seed=None, n=name):
+                calls.append((n, duration_s, seed))
+                return {"experiment": n, "scalars": {}}
+
             render = lambda m: f"report-for-{m['experiment']}"
             monkeypatch.setitem(
                 exp.REGISTRY, name,
-                exp.ExperimentInfo(name, info.description,
-                                   exp._compose(metrics, render),
-                                   metrics, render),
+                exp.ExperimentInfo(name, info.description, metrics, render),
             )
-        report = exp.run_all()
-        for name in exp.REGISTRY:
-            assert f"===== {name} =====" in report
-            assert f"report-for-{name}" in report
+        return calls
+
+    def test_combined_report_contains_every_experiment(
+        self, instant_registry, capsys
+    ):
+        assert main(["run"]) == 0
+        expected = "\n\n".join(
+            f"===== {name} =====\nreport-for-{name}"
+            for name in sorted(REGISTRY)
+        )
+        assert capsys.readouterr().out == expected + "\n"
+        assert [call[0] for call in instant_registry] == sorted(REGISTRY)
+
+    def test_several_names_in_the_given_order(self, instant_registry, capsys):
+        assert main(["run", "hotspot", "fig9", "--duration", "5",
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "===== hotspot =====\nreport-for-hotspot\n\n"
+            "===== fig9 =====\nreport-for-fig9\n"
+        )
+        assert instant_registry == [("hotspot", 5.0, 3), ("fig9", 5.0, 3)]
+
+    def test_one_name_prints_its_report_alone(self, instant_registry, capsys):
+        assert main(["run", "fig9"]) == 0
+        assert capsys.readouterr().out == "report-for-fig9\n"
+
+    def test_reproduce_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSweepAndBatchCli:

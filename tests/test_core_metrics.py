@@ -84,10 +84,14 @@ class TestPerCpuMaxPower:
         assert rqs[0].max_power_w == 40.0
 
     def test_rejects_non_positive_max_power(self):
-        from repro.core.metrics import CpuPowerMetrics
+        from repro.core.metrics import MetricsBoard
+        from repro.cpu.topology import Topology
+        from repro.sched.runqueue import RunQueue
 
-        with pytest.raises(ValueError):
-            CpuPowerMetrics(0, tau_s=20.0, max_power_w=0.0, initial_w=0.0)
+        topo = Topology(MachineSpec.smp(2))
+        rqs = {c: RunQueue(c) for c in range(2)}
+        with pytest.raises(ValueError, match="maximum power"):
+            MetricsBoard(topo, rqs, tau_s=20.0, max_power_w={0: 40.0, 1: 0.0})
 
 
 class TestSmtAggregates:

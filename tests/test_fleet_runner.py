@@ -23,7 +23,7 @@ from repro.runner import (
     run_grid,
     run_grid_fleet,
 )
-from repro.runner.fleet_grid import MIN_FLEET_BATCH, _build_member
+from repro.runner.fleet_grid import MIN_FLEET_BATCH, _fleet_candidate
 
 DURATION_S = 3.0
 
@@ -60,23 +60,83 @@ def _encode(result: dict) -> str:
 
 class TestPartitioning:
     def test_eligible_member_builds(self):
-        scenario, system, reason = _build_member(_fleet_spec(1))
-        assert reason is None and system is not None
+        from repro.fleet import check_fleet_supported
+        from repro.system import System
+
+        scenario, reason = _fleet_candidate(_fleet_spec(1))
+        assert reason is None
         assert scenario.duration_s == DURATION_S
+        check_fleet_supported(
+            System(scenario.config, scenario.workload, policy=scenario.policy)
+        )
 
     def test_experiment_spec_goes_to_pool(self):
         spec = JobSpec(experiment="fig9", seed=1, duration_s=2.0)
-        _scenario, _system, reason = _build_member(spec)
+        _scenario, reason = _fleet_candidate(spec)
         assert "pool" in reason
 
     def test_noisy_scenario_goes_to_pool(self):
-        _scenario, _system, reason = _build_member(_noisy_spec(1))
+        _scenario, reason = _fleet_candidate(_noisy_spec(1))
         assert "noise_sigma" in reason
 
     def test_broken_scenario_reports_build_failure(self):
         spec = JobSpec(scenario={"workload": {"builder": "no-such"}}, seed=1)
-        _scenario, _system, reason = _build_member(spec)
+        _scenario, reason = _fleet_candidate(spec)
         assert "build failed" in reason
+
+
+class TestStageBuilds:
+    """The fleet stage builds a System only for a chunk it batches; every
+    other job is built once, by the pool path that runs it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.system import System
+
+        count = [0]
+        init = System.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", counting_init)
+        return count
+
+    def test_eligible_and_noisy_grid(self, builds):
+        # CI's fleet-smoke grid: four eligible seeds, two noisy ones.
+        specs = ([_fleet_spec(seed) for seed in (1, 2, 3, 4)]
+                 + [_noisy_spec(seed) for seed in (5, 6)])
+        report = run_grid_fleet(specs)
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats.members == 4
+        assert builds[0] == 6
+
+    def test_throttled_family_builds_once_per_job(self, builds):
+        specs = [
+            JobSpec(scenario={"generator": {"family": "thermal-adversarial"}},
+                    seed=seed, duration_s=0.5)
+            for seed in (1, 2, 3)
+        ]
+        report = run_grid_fleet(specs)
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats is None
+        assert builds[0] == 3
+
+    def test_lone_eligible_job_builds_once(self, builds):
+        report = run_grid_fleet([_fleet_spec(1)])
+        assert report.outcomes[0].ok and report.fleet_stats is None
+        assert builds[0] == 1
+
+    def test_forced_throttle_policy_skips_the_stage(self, builds):
+        spec = _fleet_spec(1, policy="hlt-throttle")
+        scenario, reason = _fleet_candidate(spec)
+        assert scenario is None and "throttl" in reason
+        report = run_grid_fleet([spec, _fleet_spec(1, policy="hlt-throttle",
+                                                   name="twin")])
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats is None
+        assert builds[0] == 2
 
 
 class TestRunGridFleet:

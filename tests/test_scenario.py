@@ -160,6 +160,16 @@ class TestRunning:
 #: ``sweep`` over seeds 1..3 of the scenario file appended to it.
 SWEEP = ["sweep", "--seeds", "1..3", "--no-cache", "--scenario"]
 
+INF = float("inf")
+
+
+def _mixed(copies) -> dict:
+    return {**BASE, "workload": {"builder": "mixed_table2", "copies": copies}}
+
+
+def _grid(**entry) -> list:
+    return [{"scenario": BASE, "seeds": "1..3", **entry}]
+
 
 class TestMalformedInput:
     """A malformed file ends in one ``repro: error:`` line (exit 2),
@@ -183,12 +193,35 @@ class TestMalformedInput:
            "seeds": "1..3"}]),
         (["batch", "--no-cache"],
          [{"scenario": {**BASE, "duration_s": -1}, "seeds": "1..3"}]),
+        (["run-file"], _mixed(None)),
+        (["run-file"], {**BASE, "seed": None}),
+        (["run-file"], {**BASE, "thermal": {"r_k_per_w": None}}),
+        (["run-file"], {**BASE, "workload": {
+            "tasks": [{"program": "memrw", "cpus_allowed": 1}]}}),
+        (["run-file"], _mixed(INF)),
+        (["run-file"], {**BASE, "seed": INF}),
+        (["run-file"], {**BASE, "tick_ms": INF}),
+        (["run-file"], {**BASE, "max_power_per_cpu_w": "x"}),
+        (["batch", "--no-cache"], _grid(seeds=None)),
+        (["batch", "--no-cache"], _grid(duration_s=None)),
+        (["batch", "--no-cache"], _grid(durations=5)),
+        (["batch", "--no-cache"], _grid(overrides=[1])),
+        (SWEEP, _mixed(None)),
+        (["trace", "--file"], {**BASE, "seed": None}),
+        (["explain", "--file"], {**BASE, "tick_ms": INF}),
     ], ids=["run-file-negative-duration", "explain-negative-duration",
             "run-file-list", "trace-list", "run-file-machine-string",
             "batch-list", "run-file-workload-string",
             "run-file-throttle-string", "run-file-power-number",
             "sweep-list", "sweep-unknown-preset", "sweep-negative-duration",
-            "batch-unknown-preset", "batch-negative-duration"])
+            "batch-unknown-preset", "batch-negative-duration",
+            "run-file-null-copies", "run-file-null-seed",
+            "run-file-null-thermal", "run-file-int-cpus-allowed",
+            "run-file-infinite-copies", "run-file-infinite-seed",
+            "run-file-infinite-tick", "run-file-string-max-power",
+            "batch-null-seeds", "batch-null-duration", "batch-int-durations",
+            "batch-list-overrides", "sweep-null-copies", "trace-null-seed",
+            "explain-infinite-tick"])
     def test_one_error_line(self, command, document, tmp_path, capsys):
         from repro.cli import main
 

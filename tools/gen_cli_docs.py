@@ -60,8 +60,10 @@ def _iter_subparsers(parser):
 def _format_invocation(action) -> str:
     if not action.option_strings:  # positional
         name = action.metavar or action.dest
-        if action.nargs in ("?", "*"):
+        if action.nargs == "?":
             return f"[{name}]"
+        if action.nargs == "*":
+            return f"[{name} ...]"
         return f"{name}"
     parts = []
     metavar = None

@@ -426,7 +426,9 @@ def _journal_path(args, specs, command: str):
 
 
 def _resume_specs(parser, args, command: str):
-    """The spec list recorded in ``--resume``'s journal meta record."""
+    """The spec list and arguments recorded in ``--resume``'s journal
+    meta record, and the replay they came from (the journal reuses it,
+    so the file is read once)."""
     import pathlib
 
     from repro.resilience import replay_journal
@@ -446,7 +448,7 @@ def _resume_specs(parser, args, command: str):
             f"{args.resume!r} journals a {meta.get('command')!r} run; "
             f"resume it with 'repro {meta.get('command')} --resume'"
         )
-    return specs, meta.get("args") or {}
+    return specs, meta.get("args") or {}, replay
 
 
 def _make_bus(args):
@@ -485,12 +487,14 @@ def _close_bus(server, sink) -> None:
         sink.close()
 
 
-def _run_jobs(parser, args, specs, command="sweep", command_args=None):
+def _run_jobs(parser, args, specs, command="sweep", command_args=None,
+              replay=None):
     """Shared sweep/batch execution; prints progress+cache info to stderr.
 
-    Opens the journal when journaling is on, wires SIGINT/SIGTERM to a
-    graceful drain, and prints the resume command when the sweep stops
-    early.
+    Opens the journal when journaling is on (from ``replay``, the
+    ``--resume`` journal's replay, when given), wires SIGINT/SIGTERM to
+    a graceful drain, and prints the resume command when the sweep
+    stops early.
     """
     import signal
     import threading
@@ -526,7 +530,7 @@ def _run_jobs(parser, args, specs, command="sweep", command_args=None):
 
         journal = SweepJournal(
             journal_path, specs, command=command,
-            command_args=command_args or {},
+            command_args=command_args or {}, replay=replay,
         )
 
     stop_event = threading.Event()
@@ -588,17 +592,25 @@ def _aggregate_json(summaries) -> dict:
     }
 
 
-def _check_scenarios(parser, specs) -> None:
-    """Parse each distinct scenario job once, before any job runs.
+def _check_jobs(parser, specs) -> None:
+    """Check every job before any job runs.
 
-    A scenario that cannot build would fail, and be retried, once per
-    seed; one usage error (exit 2) names it instead.
+    A job that cannot build would fail, and be retried, once per seed;
+    one usage error (exit 2) names it instead: an experiment job must
+    name a registered experiment, and each distinct scenario job must
+    parse (once).
     """
     from repro.runner.executor import parse_scenario_spec
 
     seen = set()
     for spec in specs:
-        if spec.scenario is None:
+        if spec.experiment is not None:
+            if not isinstance(spec.experiment, str):
+                parser.error(
+                    f"an experiment name must be a string, not "
+                    f"{spec.experiment!r}"
+                )
+            _resolve_experiment(parser, spec.experiment)
             continue
         key = spec.content_hash()
         if key in seen:
@@ -617,8 +629,9 @@ def _cmd_sweep(parser, args) -> int:
 
     if args.family_params is not None and args.family is None:
         parser.error("--family-params requires --family")
+    replay = None
     if args.resume is not None:
-        specs, meta_args = _resume_specs(parser, args, "sweep")
+        specs, meta_args, replay = _resume_specs(parser, args, "sweep")
         experiment = (args.experiment or meta_args.get("experiment")
                       or (specs[0].experiment if specs else "sweep"))
     elif args.family is not None:
@@ -680,7 +693,7 @@ def _cmd_sweep(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         experiment = data["name"]
-        _check_scenarios(parser, specs)
+        _check_jobs(parser, specs)
     else:
         if args.experiment is None:
             parser.error("an experiment name is required "
@@ -694,7 +707,7 @@ def _cmd_sweep(parser, args) -> int:
     command_args = {"experiment": experiment, "seeds": args.seeds,
                     "duration": args.duration}
     report = _run_jobs(parser, args, specs, command="sweep",
-                       command_args=command_args)
+                       command_args=command_args, replay=replay)
     if report.interrupted:
         return 130
     samples = report.scalar_samples()
@@ -728,8 +741,9 @@ def _cmd_batch(parser, args) -> int:
     from repro.analysis.stats import summarize_scalars
     from repro.runner import load_grid
 
+    replay = None
     if args.resume is not None:
-        flat, meta_args = _resume_specs(parser, args, "batch")
+        flat, meta_args, replay = _resume_specs(parser, args, "batch")
         grid_path = args.path or meta_args.get("path")
         entries = None
         if grid_path is not None:
@@ -755,10 +769,10 @@ def _cmd_batch(parser, args) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load grid {args.path!r}: {exc}")
         flat = [spec for entry in entries for spec in entry.specs]
-        _check_scenarios(parser, flat)
+        _check_jobs(parser, flat)
         command_args = {"path": str(args.path)}
     report = _run_jobs(parser, args, flat, command="batch",
-                       command_args=command_args)
+                       command_args=command_args, replay=replay)
     if report.interrupted:
         return 130
 

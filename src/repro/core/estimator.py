@@ -44,23 +44,36 @@ def build_calibrated_estimator(
         raise ValueError("need at least one calibration program")
     freq = exec_model.freq_hz
     # The loop makes only the rng draws, each slice in the contract's
-    # order: the behaviour's, the counter jitter's (when enabled), then
-    # the multimeter noise's.  The rest runs over all slices at once (a
-    # disabled jitter is a factor of 1.0, which multiplies exactly).
-    rates, cycles, sibling, jitter, noise = [], [], [], [], []
+    # order: the behaviour's phase machine, the counter jitter's (when
+    # enabled), then the multimeter noise's.  It records each slice's
+    # phase row and wobble; the rest runs over all slices at once.  A
+    # row times its wobble is the scaled mix ``Behavior.step`` would
+    # build, and a disabled jitter is a factor of 1.0, which multiplies
+    # exactly.
+    phase_rows, row, wobble, jitter, noise = [], [], [], [], []
+    gauss = rng.gauss
+    noise_sigma = power.params.noise_sigma
     for spec in programs:
         behavior = spec.build_behavior(power, freq, rng)
-        for s in range(slices_per_program):
-            busy = smt and s % 2 == 1
-            rates.append(behavior.step(slice_s).rates_per_cycle)
-            cycles.append(exec_model.effective_cycles(slice_s, busy))
-            sibling.append(busy)
-            g = rng.gauss(0.0, counter_jitter_sigma) if counter_jitter_sigma else 0.0
-            jitter.append(max(0.0, 1.0 + g))
-            noise.append(rng.gauss(0.0, power.params.noise_sigma))
-    rates = np.array(rates)
-    sibling = np.array(sibling)
-    deltas = rates * np.array(cycles)[:, None] * np.array(jitter)[:, None]
+        offset = len(phase_rows)
+        phase_rows.extend(phase.mix.rates_per_cycle for phase in behavior.phases)
+        advance = behavior.advance
+        for _ in range(slices_per_program):
+            index, w = advance(slice_s)
+            row.append(offset + index)
+            wobble.append(w)
+            g = gauss(0.0, counter_jitter_sigma) if counter_jitter_sigma else 0.0
+            jitter.append(g)
+            noise.append(gauss(0.0, noise_sigma))
+    rates = np.array(phase_rows)[row] * np.array(wobble)[:, None]
+    sibling = np.tile(np.arange(slices_per_program) % 2 == 1, len(programs))
+    sibling &= bool(smt)
+    cycles = np.where(
+        sibling,
+        exec_model.effective_cycles(slice_s, True),
+        exec_model.effective_cycles(slice_s, False),
+    )
+    deltas = rates * cycles[:, None] * np.maximum(0.0, 1.0 + np.array(jitter))[:, None]
     dyn = power.dynamic_power_w_batch(rates, freq)
     # With a busy sibling, it runs the same mix; the multimeter sees the
     # whole package, and the paper attributes half to each logical CPU

@@ -121,14 +121,17 @@ class CpuInfo:
 
 
 class Topology:
-    """Resolved machine topology with paper-style CPU numbering."""
+    """Resolved machine topology with paper-style CPU numbering.
+
+    The CPU table is a tuple of frozen records, so one topology can be
+    shared by every machine built on the same spec.
+    """
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
-        self.cpus: list[CpuInfo] = []
-        self._build()
+        self.cpus: tuple[CpuInfo, ...] = self._build()
 
-    def _build(self) -> None:
+    def _build(self) -> tuple[CpuInfo, ...]:
         spec = self.spec
         cores_total = spec.n_cores
         by_core: dict[int, list[int]] = {c: [] for c in range(cores_total)}
@@ -148,18 +151,17 @@ class Topology:
                         records.append((cpu_id, node, global_pkg, global_core, thread))
                         by_core[global_core].append(cpu_id)
         records.sort()
-        for cpu_id, node, global_pkg, global_core, thread in records:
-            siblings = tuple(c for c in by_core[global_core] if c != cpu_id)
-            self.cpus.append(
-                CpuInfo(
-                    cpu_id=cpu_id,
-                    node=node,
-                    package=global_pkg,
-                    core=global_core,
-                    thread=thread,
-                    siblings=siblings,
-                )
+        return tuple(
+            CpuInfo(
+                cpu_id=cpu_id,
+                node=node,
+                package=global_pkg,
+                core=global_core,
+                thread=thread,
+                siblings=tuple(c for c in by_core[global_core] if c != cpu_id),
             )
+            for cpu_id, node, global_pkg, global_core, thread in records
+        )
 
     # -- lookups ----------------------------------------------------------
     def __len__(self) -> int:

@@ -129,9 +129,12 @@ class SweepJournal:
 
     Opening an existing journal replays it first: completed results are
     then served from :meth:`completed_result`, and in-flight or failed
-    jobs are left for the executor to re-run.  Appends are atomic at
-    the record level (single ``write`` of one line) and durable (flush
-    + fsync) so the journal survives a SIGKILL of the driver.
+    jobs are left for the executor to re-run.  A caller that has just
+    replayed the file (``--resume`` reads its spec list first) passes
+    that ``replay`` instead, so the file is read once.  Appends are
+    atomic at the record level (single ``write`` of one line) and
+    durable (flush + fsync) so the journal survives a SIGKILL of the
+    driver.
     """
 
     def __init__(
@@ -141,10 +144,11 @@ class SweepJournal:
         command: str = "sweep",
         command_args: dict | None = None,
         salt: str | None = None,
+        replay: JournalReplay | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
         self.salt = salt if salt is not None else code_salt()
-        self.replay = replay_journal(self.path)
+        self.replay = replay if replay is not None else replay_journal(self.path)
         if self.replay.meta is not None and self.replay.salt != self.salt:
             # Same clearing rule as JournalReplay._apply: results from
             # another code version do not count as complete.

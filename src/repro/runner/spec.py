@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -75,8 +76,10 @@ class JobSpec:
                 "config overrides only apply to scenario specs; experiment "
                 "entrypoints are parameterised by duration and seed alone"
             )
-        if self.duration_s is not None and not self.duration_s > 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration_s}"
+            )
 
     # -- identity --------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -16,6 +16,8 @@ tell the scheduler to skip energy balancing between siblings (§4.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.cpu.topology import Topology
 
@@ -48,7 +50,7 @@ class SchedDomain:
     smt_level: bool = False
     #: cpu -> group lookup; balancing passes resolve the local group on
     #: every invocation, so this must not be a linear scan
-    _group_of: dict = field(default=None, repr=False, compare=False)
+    _group_of: Mapping = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.groups) < 2:
@@ -57,7 +59,16 @@ class SchedDomain:
         if covered != sorted(self.span):
             raise ValueError(f"domain {self.name!r}: groups do not partition span")
         object.__setattr__(
-            self, "_group_of", {c: g for g in self.groups for c in g.cpus}
+            self,
+            "_group_of",
+            MappingProxyType({c: g for g in self.groups for c in g.cpus}),
+        )
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the lookup is rebuilt.
+        return (
+            SchedDomain,
+            (self.level, self.name, self.span, self.groups, self.smt_level),
         )
 
     def local_group(self, cpu_id: int) -> CpuGroup:
@@ -69,10 +80,17 @@ class SchedDomain:
 
 
 class DomainHierarchy:
-    """Per-CPU bottom-up domain chains for one machine."""
+    """Per-CPU bottom-up domain chains for one machine.
 
-    def __init__(self, chains: dict[int, tuple[SchedDomain, ...]]) -> None:
-        self._chains = chains
+    Read-only, so one hierarchy can be shared by every machine built on
+    the same topology.
+    """
+
+    def __init__(self, chains: Mapping[int, tuple[SchedDomain, ...]]) -> None:
+        self._chains = MappingProxyType(dict(chains))
+
+    def __reduce__(self):
+        return (DomainHierarchy, (dict(self._chains),))
 
     def chain(self, cpu_id: int) -> tuple[SchedDomain, ...]:
         """Domains containing ``cpu_id``, lowest level first."""

@@ -53,8 +53,8 @@ from repro.cpu.pmc import CounterBank, jitter_bound, wrap_horizon
 from repro.cpu.power import GroundTruthPower, TickEnergyCache
 from repro.cpu.thermal import ThermalDiode, ThermalRC, rc_decay
 from repro.cpu.throttle import ThrottleController
-from repro.cpu.topology import Topology
-from repro.sched.domains import build_domains
+from repro.cpu.topology import MachineSpec, Topology
+from repro.sched.domains import DomainHierarchy, build_domains
 from repro.sched.priorities import timeslice_ms
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task, TaskState
@@ -138,6 +138,17 @@ def _hk_fire_table(
     return tuple(_hk_fires(r, b, i, h, n_cpus) for r in range(lcm(b, i, h)))
 
 
+@lru_cache(maxsize=16)
+def _machine_tables(spec: MachineSpec) -> tuple[Topology, DomainHierarchy]:
+    """A machine's topology and domain hierarchy, built once per process.
+
+    Both depend on the frozen spec alone and are read-only, so every
+    machine built on the same spec shares them.
+    """
+    topology = Topology(spec)
+    return topology, build_domains(topology)
+
+
 def _next_arrival_ms(slots: list[SlotState]) -> float:
     """Earliest arrival (ms) among the slots not yet forked; inf if none."""
     return min(
@@ -207,7 +218,7 @@ class System:
         spec = config.machine
 
         # -- hardware ---------------------------------------------------------
-        self.topology = Topology(spec)
+        self.topology, self.hierarchy = _machine_tables(spec)
         self.n_cpus = len(self.topology)
         self.exec_model = ExecutionModel(
             freq_hz=spec.freq_hz, smt_thread_factor=config.smt_thread_factor
@@ -267,7 +278,6 @@ class System:
 
         # -- scheduler --------------------------------------------------------
         self.runqueues = {c: RunQueue(c) for c in range(self.n_cpus)}
-        self.hierarchy = build_domains(self.topology)
         max_power = {
             c: config.cpu_max_power_w(self.topology.package_of(c))
             for c in range(self.n_cpus)

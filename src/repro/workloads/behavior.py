@@ -28,6 +28,11 @@ import numpy as np
 
 from repro.cpu.events import N_EVENTS
 
+# Bound once for Behavior.step, which builds a scaled mix per wobble
+# resample or phase change without the frozen dataclass's validation.
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, slots=True)
 class InstructionMix:
@@ -110,12 +115,15 @@ class Behavior:
     def current_phase(self) -> PhaseSpec:
         return self.phases[self._phase_index]
 
-    def step(self, busy_dt_s: float) -> InstructionMix:
-        """Advance ``busy_dt_s`` of execution; return the mix to run.
+    def advance(self, busy_dt_s: float) -> tuple[int, float]:
+        """Advance ``busy_dt_s`` of execution, making every draw of it.
 
-        The returned mix has the wobble factor already applied to its
-        rates.  Phase transitions take effect on the *next* step (a tick
-        is far shorter than any phase, so sub-tick splitting is noise).
+        Returns the phase index and wobble factor the step runs at: the
+        wobble is resampled first when its interval has run out, and a
+        phase that expires takes effect on the *next* step (a tick is
+        far shorter than any phase, so sub-tick splitting is noise).
+        Either change clears the cached scaled mix.  The calibration
+        reads only these two values; :meth:`step` builds the mix.
         """
         if busy_dt_s < 0:
             raise ValueError("busy time must be non-negative")
@@ -124,26 +132,39 @@ class Behavior:
                 self._wobble = max(0.5, 1.0 + self._rng.gauss(0.0, self._wobble_sigma))
             self._wobble_remaining_s = self._wobble_interval_s
             self._cached_mix = None
-        if self._cached_mix is None:
-            mix = self.phases[self._phase_index].mix
-            # Scaling a validated mix cannot invalidate it, so skip the
-            # dataclass validation on this per-wobble hot path.
-            scaled = object.__new__(InstructionMix)
-            object.__setattr__(scaled, "rates_per_cycle", mix.rates_per_cycle * self._wobble)
-            object.__setattr__(scaled, "ipc", mix.ipc)
-            object.__setattr__(scaled, "label", mix.label)
-            self._cached_mix = scaled
-        scaled = self._cached_mix
+        index = self._phase_index
         self._phase_remaining_s -= busy_dt_s
         self._wobble_remaining_s -= busy_dt_s
         if self._phase_remaining_s <= 0:
             new_index = self._next_phase()
-            if new_index != self._phase_index:
+            if new_index != index:
                 self.phase_changes += 1
                 self._cached_mix = None
             self._phase_index = new_index
             self._phase_remaining_s = self.phases[new_index].sample_duration(self._rng)
-        return scaled
+        return index, self._wobble
+
+    def step(self, busy_dt_s: float) -> InstructionMix:
+        """Advance ``busy_dt_s`` of execution; return the mix to run.
+
+        The returned mix has the wobble factor already applied to its
+        rates; it is cached until the wobble or the phase changes.
+        """
+        # A wobble resample in advance() voids the cached mix for this
+        # very step; a phase change voids it only for the next one.
+        mix = self._cached_mix if self._wobble_remaining_s > 0 else None
+        index, wobble = self.advance(busy_dt_s)
+        if mix is None:
+            base = self.phases[index].mix
+            # Scaling a validated mix cannot invalidate it, so skip the
+            # dataclass validation on this per-wobble hot path.
+            mix = _new(InstructionMix)
+            _set(mix, "rates_per_cycle", base.rates_per_cycle * wobble)
+            _set(mix, "ipc", base.ipc)
+            _set(mix, "label", base.label)
+            if self._phase_index == index:
+                self._cached_mix = mix
+        return mix
 
 
 class StaticBehavior(Behavior):

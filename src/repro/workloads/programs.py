@@ -125,33 +125,20 @@ class ProgramSpec:
     def build_behavior(
         self, power: GroundTruthPower, freq_hz: float, rng: random.Random
     ) -> Behavior:
-        """Solve phase mixes against the power model and build the machine."""
+        """Build the phase machine over this program's solved phases."""
         p = power.params
-        solve_params = PowerModelParams(
-            weights_nj=tuple(map(float, p.weights_nj)),
-            nonlinear_coeff=float(p.nonlinear_coeff),
-            nonlinear_scale_w=float(p.nonlinear_scale_w),
+        phases = tuple(
+            (float(phase.total_power_w), float(phase.mean_duration_s),
+             str(phase.label), tuple(map(float, phase.flavor or self.flavor)),
+             float(phase.duration_jitter))
+            for phase in self.phases
         )
-        specs: list[PhaseSpec] = []
-        for phase in self.phases:
-            dyn_target = phase.total_power_w - p.base_active_w
-            if dyn_target < 0:
-                raise ValueError(
-                    f"{self.name}: phase {phase.label!r} targets "
-                    f"{phase.total_power_w} W below base power {p.base_active_w} W"
-                )
-            flavor = tuple(map(float, phase.flavor or self.flavor))
-            rates = _phase_rates(
-                flavor, float(dyn_target), float(freq_hz), solve_params
-            )
-            mix = InstructionMix(rates, ipc=self.ipc, label=f"{self.name}:{phase.label}")
-            specs.append(
-                PhaseSpec(
-                    mix=mix,
-                    mean_duration_s=phase.mean_duration_s,
-                    duration_jitter=phase.duration_jitter,
-                )
-            )
+        model = (float(p.base_active_w), tuple(map(float, p.weights_nj)),
+                 float(p.nonlinear_coeff), float(p.nonlinear_scale_w))
+        # This behaviour's own list over the shared, frozen specs.
+        specs = list(_solved_phases(
+            str(self.name), float(self.ipc), phases, float(freq_hz), model
+        ))
         common = dict(
             wobble_sigma=self.wobble_sigma,
             wobble_interval_s=self.wobble_interval_s,
@@ -167,17 +154,41 @@ class ProgramSpec:
         )
 
 
-@functools.lru_cache(maxsize=1024)
-def _phase_rates(flavor, dyn_target_w, freq_hz, params) -> np.ndarray:
-    """Solved rates of one phase, once per process, as a read-only array.
+@functools.lru_cache(maxsize=256)
+def _solved_phases(name, ipc, phases, freq_hz, model) -> tuple[PhaseSpec, ...]:
+    """One program's phase specs, solved and validated once per process.
 
-    The solve draws nothing, and ``params`` (hashable) holds only the
-    fields it reads: weights and the nonlinear term.
+    Every argument is a converted (hashable) value: ``phases`` holds
+    each phase's power target, dwell, label, flavour and dwell jitter,
+    and ``model`` the only power-model fields the solve reads (active
+    base power, weights and the nonlinear term).  The solve draws
+    nothing; the specs are frozen and their rates read-only, so every
+    behaviour built from the same values shares them.
     """
-    power = GroundTruthPower(params)
-    rates = power.rates_for_dynamic_power(np.asarray(flavor), dyn_target_w, freq_hz)
-    rates.flags.writeable = False
-    return rates
+    base_w, weights, coeff, scale_w = model
+    power = GroundTruthPower(
+        PowerModelParams(
+            weights_nj=weights, nonlinear_coeff=coeff, nonlinear_scale_w=scale_w
+        )
+    )
+    specs = []
+    for total_w, mean_s, label, flavor, jitter in phases:
+        dyn_target = total_w - base_w
+        if dyn_target < 0:
+            raise ValueError(
+                f"{name}: phase {label!r} targets {total_w} W below base "
+                f"power {base_w} W"
+            )
+        rates = power.rates_for_dynamic_power(np.asarray(flavor), dyn_target, freq_hz)
+        rates.flags.writeable = False
+        specs.append(
+            PhaseSpec(
+                mix=InstructionMix(rates, ipc=ipc, label=f"{name}:{label}"),
+                mean_duration_s=mean_s,
+                duration_jitter=jitter,
+            )
+        )
+    return tuple(specs)
 
 
 def _static(name, inode, power_w, flavor, ipc, wobble, solo_job_s=30.0):

@@ -51,7 +51,9 @@ SCENARIO = {
     "duration_s": 0.2,
 }
 
-#: A valid grid: one scenario entry built from a workload builder.
+#: A valid grid: one scenario entry built from a workload builder and
+#: one experiment entry (fig9 runs its committed 220 s in well under a
+#: second when a mutant drops the duration).
 GRID = {"jobs": [{
     "scenario": {
         "machine": {"preset": "cmp", "packages": 1, "cores": 2},
@@ -64,6 +66,11 @@ GRID = {"jobs": [{
     "duration_s": 0.2,
     "overrides": {"hot_check_interval_ms": 50},
     "label": "gate",
+}, {
+    "experiment": "fig9",
+    "seeds": [1],
+    "duration_s": 0.2,
+    "label": "gate-experiment",
 }]}
 
 RUN_FILE = ("run-file",)
@@ -182,6 +189,10 @@ def _grid_entry(**changes):
     return {"jobs": [{**GRID["jobs"][0], **changes}]}
 
 
+def _experiment_entry(**changes):
+    return {"jobs": [{**GRID["jobs"][1], **changes}]}
+
+
 @settings(max_examples=1500, deadline=None, database=None)
 @given(case=SCENARIO_CASES)
 # The inputs that ended in a traceback before the parsers checked types.
@@ -241,5 +252,10 @@ def test_scenario_mutants_exit_cleanly(case):
     **GRID["jobs"][0]["scenario"], "policy": {"name": "energy", "params": [1]}})))
 @example(case=(BATCH, _grid_entry(scenario={
     **GRID["jobs"][0]["scenario"], "temp_limit_c": -45.0})))
+# Experiment entries that failed only when their job ran (exit 1).
+@example(case=(BATCH, _experiment_entry(experiment="nope")))
+@example(case=(BATCH, _experiment_entry(experiment=5)))
+@example(case=(BATCH, _experiment_entry(experiment=["fig9"])))
+@example(case=(BATCH, _experiment_entry(duration_s=math.inf)))
 def test_grid_mutants_exit_cleanly(case):
     _check(case)

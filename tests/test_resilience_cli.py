@@ -68,6 +68,42 @@ class TestSweepJournalCli:
         assert (f"cannot resume from {missing!r}: no such journal file"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["sweep", "batch"])
+    def test_resume_replays_the_journal_once(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        """``--resume`` reads the journal's spec list and its progress
+        from one replay; the journal reuses it instead of re-reading."""
+        import repro.resilience
+        import repro.resilience.journal
+
+        journal = tmp_path / "j.jsonl"
+        if command == "sweep":
+            argv = ["sweep", "fig9", "--seeds", "1..2", "--duration", "3"]
+        else:
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps([
+                {"experiment": "fig9", "seeds": "1..2", "duration_s": 3},
+            ]))
+            argv = ["batch", str(grid)]
+        assert main([*argv, "--no-cache", "--journal", str(journal)]) == 0
+        first = capsys.readouterr()
+
+        replays = []
+
+        def counting_replay(path):
+            replays.append(path)
+            return replay_journal(path)
+
+        monkeypatch.setattr(repro.resilience, "replay_journal",
+                            counting_replay)
+        monkeypatch.setattr(repro.resilience.journal, "replay_journal",
+                            counting_replay)
+        assert main([command, "--resume", str(journal), "--no-cache"]) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert second.err.count("resumed") == 2
+        assert len(replays) == 1
+
     def test_batch_resume_reuses_journal_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"jobs": [

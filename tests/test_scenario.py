@@ -209,6 +209,14 @@ class TestMalformedInput:
         (SWEEP, _mixed(None)),
         (["trace", "--file"], {**BASE, "seed": None}),
         (["explain", "--file"], {**BASE, "tick_ms": INF}),
+        (["batch", "--no-cache"],
+         [{"experiment": "nope", "seeds": 1, "duration_s": 1}]),
+        (["batch", "--no-cache"],
+         [{"experiment": 5, "seeds": 1, "duration_s": 1}]),
+        (["batch", "--no-cache"],
+         [{"experiment": ["fig9"], "seeds": 1, "duration_s": 1}]),
+        (["batch", "--no-cache"],
+         [{"experiment": "fig9", "seeds": 1, "duration_s": INF}]),
     ], ids=["run-file-negative-duration", "explain-negative-duration",
             "run-file-list", "trace-list", "run-file-machine-string",
             "batch-list", "run-file-workload-string",
@@ -221,7 +229,9 @@ class TestMalformedInput:
             "run-file-infinite-tick", "run-file-string-max-power",
             "batch-null-seeds", "batch-null-duration", "batch-int-durations",
             "batch-list-overrides", "sweep-null-copies", "trace-null-seed",
-            "explain-infinite-tick"])
+            "explain-infinite-tick", "batch-unknown-experiment",
+            "batch-int-experiment", "batch-list-experiment",
+            "batch-infinite-experiment-duration"])
     def test_one_error_line(self, command, document, tmp_path, capsys):
         from repro.cli import main
 

@@ -197,3 +197,55 @@ class TestMixedPrioritiesUnderEnergyPolicy:
         ]
         assert max(ratios) - min(ratios) < 0.2
         assert result.fractional_jobs() > 0
+
+
+class TestSharedMachineTables:
+    """Machines on one spec share its topology and domain hierarchy,
+    which are read-only; everything seeded stays per machine."""
+
+    @staticmethod
+    def _system(seed, machine=None):
+        from repro.system import System
+
+        config = SystemConfig(
+            machine=machine or MachineSpec.ibm_x445(),
+            max_power_per_cpu_w=60.0,
+            seed=seed,
+        )
+        return System(config, single_program_workload("bitcnts", 2))
+
+    def test_one_spec_shares_topology_and_hierarchy(self):
+        a, b = self._system(1), self._system(2)
+        assert a.topology is b.topology
+        assert a.hierarchy is b.hierarchy
+        other = self._system(1, MachineSpec.ibm_x445(smt=False))
+        assert other.topology is not a.topology
+        assert other.hierarchy is not a.hierarchy
+
+    def test_seeds_still_calibrate_differently(self):
+        a, b = self._system(1), self._system(2)
+        assert a.estimator.base_w != b.estimator.base_w
+        assert a.estimator.weights_nj.tobytes() != b.estimator.weights_nj.tobytes()
+        again = self._system(1)
+        assert again.estimator.base_w == a.estimator.base_w
+        assert again.estimator.weights_nj.tobytes() == a.estimator.weights_nj.tobytes()
+
+    def test_shared_tables_are_read_only(self):
+        system = self._system(1)
+        assert isinstance(system.topology.cpus, tuple)
+        domain = system.hierarchy.chain(0)[0]
+        with pytest.raises(TypeError):
+            domain._group_of[0] = None
+        with pytest.raises(TypeError):
+            system.hierarchy._chains[0] = ()
+
+    def test_checkpoint_round_trip_keeps_the_hierarchy(self):
+        import pickle
+
+        system = self._system(1)
+        restored = pickle.loads(pickle.dumps(system))
+        chain = restored.hierarchy.chain(0)
+        assert chain == system.hierarchy.chain(0)
+        assert chain[0] is restored.hierarchy.chain(8)[0]
+        assert restored.policy.hierarchy is restored.hierarchy
+        assert chain[0].local_group(8) == system.hierarchy.chain(0)[0].local_group(8)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.events import N_EVENTS
 from repro.workloads.behavior import (
@@ -186,3 +188,70 @@ class TestBehaviorValidation:
 
         assert run(5) == run(5)
         assert run(5) != run(6)
+
+
+#: The wobble resample interval of the twins below.
+WOBBLE_S = 0.1
+
+
+def _twin(kind: str, seed: int, wobble_sigma: float):
+    """A behaviour of ``kind`` over distinct, jittered phases."""
+    phases = [
+        PhaseSpec(
+            InstructionMix(np.linspace(0.1, 1.0, N_EVENTS) * (i + 1), ipc=1.0,
+                           label=f"p{i}"),
+            mean_duration_s=duration,
+            duration_jitter=0.3,
+        )
+        for i, duration in enumerate((0.35, 0.15, 0.25))
+    ]
+    rng = random.Random(seed)
+    common = dict(wobble_sigma=wobble_sigma, wobble_interval_s=WOBBLE_S)
+    if kind == "static":
+        return StaticBehavior(phases[0], rng, **common)
+    if kind == "cyclic":
+        return CyclicBehavior(phases, rng, **common)
+    if kind == "alternating":
+        return AlternatingBehavior(phases[:2], rng, **common)
+    return SpikyBehavior(phases, rng, spike_probability=1.0, **common)
+
+
+#: Step lengths: exactly the wobble interval, zero, longer than any
+#: phase, and anything in between.
+STEPS = st.one_of(
+    st.sampled_from([WOBBLE_S, 0.0, 0.01, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+)
+
+
+class TestStepMatchesAdvance:
+    """``step`` builds its mix from ``advance``, the one phase machine
+    the calibration also drives, so both make the same draws."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["static", "cyclic", "alternating", "spiky"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        wobble_sigma=st.sampled_from([0.0, 0.05]),
+        steps=st.lists(STEPS, min_size=1, max_size=80),
+    )
+    def test_same_draws_phases_and_rates(self, kind, seed, wobble_sigma, steps):
+        stepped = _twin(kind, seed, wobble_sigma)
+        advanced = _twin(kind, seed, wobble_sigma)
+        for dt in steps:
+            mix = stepped.step(dt)
+            index, wobble = advanced.advance(dt)
+            base = advanced.phases[index].mix
+            assert mix.label == base.label
+            assert (mix.rates_per_cycle.tobytes()
+                    == (base.rates_per_cycle * wobble).tobytes())
+            assert stepped._wobble == wobble
+            assert stepped._phase_index == advanced._phase_index
+            assert stepped.phase_changes == advanced.phase_changes
+            assert stepped._rng.getstate() == advanced._rng.getstate()
+
+    def test_spiky_twins_make_excursions(self):
+        """The drawn runs above do leave the base phase."""
+        behavior = _twin("spiky", 7, 0.05)
+        indices = {behavior.advance(0.1)[0] for _ in range(40)}
+        assert 0 in indices and indices - {0}

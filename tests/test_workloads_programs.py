@@ -1,12 +1,19 @@
 """Unit tests for the calibrated program models (Tables 1 and 2)."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from repro.cpu.power import GroundTruthPower, PowerModelParams
-from repro.workloads.programs import PROGRAMS, PhaseDef, ProgramSpec, program
+from repro.workloads.programs import (
+    FLAVOR_MEM,
+    PROGRAMS,
+    PhaseDef,
+    ProgramSpec,
+    program,
+)
 
 FREQ = 2.2e9
 
@@ -123,6 +130,39 @@ class TestPhaseSolveMemo:
         assert a.phases is not b.phases
         assert a.phases[0].mix.rates_per_cycle is b.phases[0].mix.rates_per_cycle
 
+    def test_behaviors_share_phase_specs_but_not_phase_lists(self, power):
+        for spec in PROGRAMS.values():
+            a = spec.build_behavior(power, FREQ, random.Random(0))
+            b = spec.build_behavior(power, FREQ, random.Random(1))
+            assert a.phases is not b.phases, spec.name
+            for x, y in zip(a.phases, b.phases, strict=True):
+                assert x is y, spec.name
+                assert not x.mix.rates_per_cycle.flags.writeable, spec.name
+
+    @pytest.mark.parametrize("change", [
+        {"name": "other"}, {"ipc": 0.75}, {"flavor": FLAVOR_MEM},
+        {"phases": (PhaseDef(30.0, 2.0, "prompt"), PhaseDef(36.0, 0.3, "builtin"))},
+        {"phases": (PhaseDef(30.0, 2.5, "prompt"), PhaseDef(35.5, 0.3, "builtin"))},
+        {"phases": (PhaseDef(30.0, 2.0, "shell"), PhaseDef(35.5, 0.3, "builtin"))},
+        {"phases": (PhaseDef(30.0, 2.0, "prompt", flavor=FLAVOR_MEM),
+                    PhaseDef(35.5, 0.3, "builtin"))},
+        {"phases": (PhaseDef(30.0, 2.0, "prompt", duration_jitter=0.1),
+                    PhaseDef(35.5, 0.3, "builtin"))},
+    ], ids=["name", "ipc", "flavor", "power", "dwell", "label",
+            "phase-flavor", "dwell-jitter"])
+    def test_every_phase_field_keys_the_memo(self, power, change):
+        spec = program("bash")
+        changed = dataclasses.replace(spec, **change)
+        a = spec.build_behavior(power, FREQ, random.Random(0))
+        b = changed.build_behavior(power, FREQ, random.Random(0))
+        assert [
+            (p.mix.label, p.mix.ipc, p.mix.rates_per_cycle.tobytes(),
+             p.mean_duration_s, p.duration_jitter) for p in b.phases
+        ] != [
+            (p.mix.label, p.mix.ipc, p.mix.rates_per_cycle.tobytes(),
+             p.mean_duration_s, p.duration_jitter) for p in a.phases
+        ]
+
     def test_list_valued_fields_still_build(self):
         """Lists are unhashable; the memo keys on converted values."""
         weights = list(PowerModelParams().weights_nj)
@@ -141,6 +181,25 @@ class TestPhaseSolveMemo:
             for p in behavior.phases
         ]
         assert totals == pytest.approx([40.0, 50.0], abs=1e-6)
+
+
+    def test_list_valued_fields_share_phase_specs(self):
+        def build():
+            power = GroundTruthPower(
+                PowerModelParams(weights_nj=list(PowerModelParams().weights_nj))
+            )
+            spec = ProgramSpec(
+                name="x", inode=1, kind="cyclic",
+                phases=[
+                    PhaseDef(40.0, 1.0, "p", flavor=[1.0, 0.5, 0.0, 0.5, 0.01, 0.2])
+                ],
+                flavor=[1.0] * 6, ipc=1.0,
+            )
+            return spec.build_behavior(power, FREQ, random.Random(0))
+
+        a, b = build(), build()
+        assert a.phases is not b.phases
+        assert a.phases[0] is b.phases[0]
 
 
 class TestProgramSpecValidation:

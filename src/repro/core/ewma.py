@@ -14,21 +14,19 @@ Two variants:
   ``tau`` equal to the RC model's ``R*C`` makes the average's step
   response track the processor temperature's exponential.
 
-The module also provides the batched kernel the tick-loop fast path
-uses: :func:`thermal_alpha` memoises the per-``(tau, dt)`` weight (the
-tick length is constant within a run, so the ``exp`` is computed once
-per distinct time constant instead of once per CPU per tick) and
-:func:`ewma_update_batch` advances a whole struct-of-arrays column of
-averages in one pass.  Both perform *exactly* the arithmetic of
-:meth:`ThermalEwma.update`, so the batched and scalar paths produce
-bit-identical values.
+:func:`thermal_alpha` memoises the per-``(tau, dt)`` weight (the tick
+length is constant within a run, so the ``exp`` is computed once per
+distinct time constant instead of once per CPU per tick).  The tick
+loops apply it inline, each CPU with the statement
+:meth:`ThermalEwma.update` executes: the single-machine fast path
+inside its package loop (``System._thermal_step_fast``) and the fleet
+engine across its machine axis, so the batched and scalar paths
+produce bit-identical values.
 """
 
 from __future__ import annotations
 
 import math
-
-from typing import Sequence
 
 #: Memoised ``1 - exp(-dt/tau)`` weights.  A run touches only a handful
 #: of (tau, dt) pairs (one per distinct heat-sink parameterisation), so
@@ -52,20 +50,6 @@ def thermal_alpha(tau_s: float, dt_s: float) -> float:
         alpha = 1.0 - math.exp(-dt_s / tau_s)
         _ALPHA_CACHE[key] = alpha
     return alpha
-
-
-def ewma_update_batch(
-    values: list[float], powers: Sequence[float], alphas: Sequence[float]
-) -> None:
-    """Advance a column of thermal averages in place (one per CPU).
-
-    ``values[i] += alphas[i] * (powers[i] - values[i])`` for every
-    element — the same statement :meth:`ThermalEwma.update` executes,
-    applied across the struct-of-arrays block without per-object
-    dispatch or per-call ``exp``.
-    """
-    for i, (power, alpha) in enumerate(zip(powers, alphas)):
-        values[i] += alpha * (power - values[i])
 
 
 class VariablePeriodEwma:

@@ -25,12 +25,14 @@ the one API: the §4.4–§4.6 policies, both tick paths and the fleet
 engine read them through the accessors, and whoever writes
 ``thermal_w`` directly (the fleet's flush, test harnesses) bumps
 ``thermal_epoch``.  ``tau_s`` and ``max_power`` are fixed at
-construction.  The batched tick path advances the whole thermal
-column with one :func:`repro.core.ewma.ewma_update_batch` call and
-serves runqueue-power and package-sum queries from epoch-validated
-caches; the scalar reference path performs the pre-batching per-CPU
-updates and recomputations.  Both produce bit-identical values — the
-fast accessors only memoise, never approximate.
+construction.  :meth:`MetricsBoard.update_thermal` is the one
+thermal-power update: the scalar reference path calls it per CPU, and
+the batched tick path (``System._thermal_step_fast``) inlines its
+statement inside its package loop and bumps ``thermal_epoch`` once
+per tick.  In fast mode the board serves runqueue-power and
+package-sum queries from version- and epoch-validated caches; the
+scalar reference path recomputes them.  Both produce bit-identical
+values — the fast accessors only memoise, never approximate.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from repro.core.ewma import ewma_update_batch, thermal_alpha
 from repro.cpu.topology import Topology
 from repro.sched.runqueue import RunQueue
 
@@ -99,10 +100,9 @@ class MetricsBoard:
             # in the extended runqueue struct (§5).
             runqueues[info.cpu_id].max_power_w = float(limit)
         # -- memoisation state (fast mode) -----------------------------------
-        #: bumped on every thermal-column mutation; package-sum cache key.
+        #: bumped after each thermal-column update (once per tick on the
+        #: batched path); the package-sum cache key.
         self.thermal_epoch = 0
-        self._alpha_dt: float | None = None
-        self._alphas: list[float] = []
         self._rq_sum: list[float] = [0.0] * n
         self._rq_sum_version: list[int] = [-1] * n
         self._rq_ratio: list[float] = [0.0] * n
@@ -120,19 +120,6 @@ class MetricsBoard:
             raise ValueError("dt must be non-negative")
         alpha = 1.0 - math.exp(-dt_s / self.tau_s[cpu_id])
         self.thermal_w[cpu_id] += alpha * (power_w - self.thermal_w[cpu_id])
-        self.thermal_epoch += 1
-
-    def update_thermal_batch(self, powers_w: list[float], dt_s: float) -> None:
-        """Advance every CPU's thermal power in one batched pass.
-
-        Bit-identical to ``n`` :meth:`update_thermal` calls; the blend
-        weights are memoised per (tau, dt) and the column is updated by
-        the :mod:`repro.core.ewma` kernel.
-        """
-        if self._alpha_dt != dt_s:
-            self._alphas = [thermal_alpha(tau, dt_s) for tau in self.tau_s]
-            self._alpha_dt = dt_s
-        ewma_update_batch(self.thermal_w, powers_w, self._alphas)
         self.thermal_epoch += 1
 
     def thermal_power_w(self, cpu_id: int) -> float:

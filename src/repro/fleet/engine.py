@@ -32,12 +32,14 @@ Equivalence rules (each asserted by ``tests/test_fleet_equivalence.py``):
   ``x+0.0 == x`` for the non-negative finite values involved, masked
   lanes discard garbage via ``np.where``);
 * every RNG draw that produces an *observable* value happens inside the
-  member System's own methods in the scalar order.  The one divergence:
-  at ``noise_sigma == 0`` the scalar path still calls ``gauss(0.0, 0.0)``
-  per package per tick (value exactly 0.0, multiplied in as
-  ``clean * (1.0 + 0.0)``); the fleet skips the dead draw.  Results are
-  bitwise unchanged, only the hidden position of the meter Mersenne
-  streams differs — visible in nothing but raw checkpoint bytes.
+  member System's own methods in the scalar order.  The meter draw is
+  the exception that produces nothing: at ``noise_sigma == 0`` (which
+  eligibility requires) a draw would be ``gauss(0.0, 0.0)``, exactly
+  0.0, multiplied in as ``clean * (1.0 + 0.0)``.  Both batched engines
+  (this one and ``System._thermal_step_fast``) skip it; only the
+  scalar specification, ``System._thermal_step``, makes it.  Results
+  are bitwise unchanged: a member's ``meter:<pkg>`` streams stay at
+  their seeded state, which nothing reads.
 * ``instructions_retired`` is folded per task slot as a lump sum instead
   of per tick; no exported summary or probe reads that dict, so the
   (at most 1-ulp) different dict values are invisible in all
@@ -534,7 +536,6 @@ class FleetEngine:
         self._flush_sample_view(m)
         sys_._est_power[:] = self.est_power_a[m].tolist()
         sys_._dyn_power[:] = self.dyn_power_a[m].tolist()
-        sys_._thermal_in_w[:] = self.thermal_in[m].tolist()
         sys_._running[:] = [bool(x) for x in self.running[m]]
         sys_._pkg_temp_c[:] = self.true_t[m].tolist()
         sys_._pkg_est_temp_c[:] = self.est_t[m].tolist()
@@ -929,7 +930,7 @@ class FleetEngine:
                             abs(float(est_w_pkg[m, pkg]) - true_w) / true_w
                         )
                         sys_._est_err_n += 1
-        # EWMA advance: identical expression to ewma_update_batch
+        # EWMA advance: the MetricsBoard.update_thermal statement
         ew = self._sc_f1
         np.subtract(self.thermal_in, self.thermal, out=ew)
         ew *= self.alpha

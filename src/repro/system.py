@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.containers import ContainerConfig, ContainerManager
+from repro.core.ewma import thermal_alpha
 from repro.core.metrics import MetricsBoard
 from repro.core.policy import (
     BaselinePolicy,
@@ -81,12 +82,12 @@ _DERIVED_ATTRS = (
     "tick",            # profiled-tick method shadow (bound to the old self)
     "_pmc_gauss",      # bound methods of the per-CPU jitter streams
     "_pmc_rngs",       # the jitter stream objects themselves
-    "_meter_gauss",    # bound methods of the per-package meter streams
     "_mix_cache",      # id()-keyed memo of dynamic power per mix
     "_tick_cache",     # id()-keyed memo of per-(mix, cycles) tick energy
     "_cycles_for_dt",  # per-tick-length memo
-    "_rc_decay_dt",    # per-tick-length memo
-    "_rc_decays",      # per-tick-length memo
+    "_thermal_dt",     # tick length of the two memos below
+    "_rc_decays",      # per-package RC decay factors
+    "_ewma_alphas",    # per-CPU thermal-power EWMA weights
     "_sib1",           # single-SMT-sibling index table (from _siblings)
     "_hk_tables",      # housekeeping fire tables (from the tick periods)
     "_next_fork_ms",   # earliest arrival among unforked slots (inf: none)
@@ -375,7 +376,6 @@ class System:
         # its row in place and stays equivalent.
         self._counts_mx = np.zeros((self.n_cpus, N_EVENTS))
         self._counter_modulus = self.banks[0].modulus
-        self._thermal_in_w = [0.0] * self.n_cpus
 
         # -- optional runtime validation -----------------------------------------
         # Off by default: the disabled cost is one attribute test per
@@ -454,14 +454,14 @@ class System:
         # the counter banks draw from.
         self._pmc_rngs = [self.rng.stream(f"pmc:{c}") for c in range(self.n_cpus)]
         self._pmc_gauss = [r.gauss for r in self._pmc_rngs]
-        self._meter_gauss = [r.gauss for r in self._meter_rngs]
         self._mix_cache: dict[int, tuple[object, float]] = {}
         self._tick_cache = TickEnergyCache(
             self.estimator, self.power, self.exec_model.freq_hz
         )
         self._cycles_for_dt: tuple[float, float, float] | None = None
-        self._rc_decay_dt: float | None = None
+        self._thermal_dt: float | None = None
         self._rc_decays: list[float] = []
+        self._ewma_alphas: list[float] = []
         self._sib1 = _sib1_table(self._siblings)
         self._pkg_pairs = [
             cpus if len(cpus) == 2 else None for cpus in self._pkg_cpus
@@ -1184,28 +1184,38 @@ class System:
             self.metrics.update_thermal(c, power, tick_s)
 
     def _thermal_step_fast(self, clock: Clock) -> None:
-        """The batched thermal step.
+        """The batched thermal step: one pass over the packages.
 
-        Same per-package integration and error tracking as
-        :meth:`_thermal_step` with the ``exp`` factors memoised (the
-        tick length is constant within a run), followed by one
-        :meth:`~repro.core.metrics.MetricsBoard.update_thermal_batch`
-        advancing the whole thermal-power column.
+        Same per-package integration, error tracking and per-CPU
+        thermal-power EWMA as :meth:`_thermal_step`, with the ``exp``
+        factors memoised (the tick length is constant within a run).
+        Each CPU's average advances inside its package's iteration
+        rather than in a second loop; the update reads only the CPU's
+        own column entry, so the order does not change a bit.  A
+        package's meter noise is drawn only when ``noise_sigma`` is
+        non-zero, as on the fleet engine: ``gauss(0.0, 0.0)`` is
+        exactly 0.0, ``clean * (1.0 + 0.0)`` is ``clean``, and nothing
+        else reads a ``meter:<pkg>`` stream.
         """
         tick_s = clock.tick_s
-        if self._rc_decay_dt != tick_s:
+        if self._thermal_dt != tick_s:
             self._rc_decays = [
                 rc_decay(rc.params.tau_s, tick_s) for rc in self.true_rc
             ]
-            self._rc_decay_dt = tick_s
+            self._ewma_alphas = [
+                thermal_alpha(tau, tick_s) for tau in self.metrics.tau_s
+            ]
+            self._thermal_dt = tick_s
         decays = self._rc_decays
+        alphas = self._ewma_alphas
+        metrics = self.metrics
+        tw = metrics.thermal_w
         sample_tick = clock.ticks % self._sample_every == 0
         halted_pkg_w = self.config.power.halted_package_w
         halted_share_w = self._halted_share_w
         running = self._running
         est_power = self._est_power
         dyn_power = self._dyn_power
-        thermal_in = self._thermal_in_w
         pkg_temp = self._pkg_temp_c
         pkg_est_temp = self._pkg_est_temp_c
         est_pkg_power = self._est_pkg_power
@@ -1248,16 +1258,19 @@ class System:
             # expression, same RNG stream, with random.gauss inlined the
             # same way as the jitter draw in _execute_fast.
             clean = halted_pkg_w if all_halted else base_active_w + dyn_sum
-            rng = meter_rngs[pkg]
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                u = rng.random
-                x2pi = u() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - u()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            true_w = clean * (1.0 + z * noise_sigma)
+            if noise_sigma:
+                rng = meter_rngs[pkg]
+                z = rng.gauss_next
+                rng.gauss_next = None
+                if z is None:
+                    u = rng.random
+                    x2pi = u() * _TWOPI
+                    g2rad = _sqrt(-2.0 * _log(1.0 - u()))
+                    z = _cos(x2pi) * g2rad
+                    rng.gauss_next = _sin(x2pi) * g2rad
+                true_w = clean * (1.0 + z * noise_sigma)
+            else:
+                true_w = clean
             decay = decays[pkg]
             # Inlined ThermalRC.step (both RCs): its expression, with
             # rc_decay's factor and steady_state_c spelled out on the
@@ -1267,27 +1280,32 @@ class System:
             true_temp = target + (rc._temp_c - target) * decay
             rc._temp_c = true_temp
             pkg_temp[pkg] = true_temp
+            # Inlined MetricsBoard.update_thermal per CPU, the same
+            # statement with its weight memoised.
             if all_halted:
                 est_w = halted_pkg_w
                 # Fully halted package: each thread carries its share
                 # of the residual hlt draw (13.6 W at idle).
                 if pair is not None:
-                    thermal_in[c0] = halted_share_w
-                    thermal_in[c1] = halted_share_w
+                    tw[c0] += alphas[c0] * (halted_share_w - tw[c0])
+                    tw[c1] += alphas[c1] * (halted_share_w - tw[c1])
                 else:
                     for c in cpus:
-                        thermal_in[c] = halted_share_w
+                        tw[c] += alphas[c] * (halted_share_w - tw[c])
             else:
                 est_w = est_sum
                 # Idle thread beside a busy sibling contributes
                 # nothing extra: the active thread's estimate already
                 # covers the package's static power.
                 if pair is not None:
-                    thermal_in[c0] = est_power[c0] if r0 else 0.0
-                    thermal_in[c1] = est_power[c1] if r1 else 0.0
+                    p = est_power[c0] if r0 else 0.0
+                    tw[c0] += alphas[c0] * (p - tw[c0])
+                    p = est_power[c1] if r1 else 0.0
+                    tw[c1] += alphas[c1] * (p - tw[c1])
                 else:
                     for c in cpus:
-                        thermal_in[c] = est_power[c] if running[c] else 0.0
+                        p = est_power[c] if running[c] else 0.0
+                        tw[c] += alphas[c] * (p - tw[c])
             est_pkg_power[pkg] = est_w
             pkg_energy[pkg] += est_w * tick_s
             rc = est_rc[pkg]
@@ -1303,7 +1321,7 @@ class System:
             if not all_halted and sample_tick:
                 self._est_err_sum += abs(est_w - true_w) / true_w
                 self._est_err_n += 1
-        self.metrics.update_thermal_batch(thermal_in, tick_s)
+        metrics.thermal_epoch += 1
 
     def _throttle_step(self, clock: Clock) -> None:
         """Advance every CPU's throttle or DVFS controller one tick.

@@ -224,47 +224,34 @@ class SimulationResult:
 
 @dataclass(frozen=True, slots=True)
 class RunOptions:
-    """Bundled run parameters for :func:`run_simulation` and friends.
+    """The run switches a :class:`repro.scenario.Scenario` does not carry.
 
-    Replaces the keyword sprawl (``policy=``, ``obs=``, ``validate=``)
-    with one value that travels through :func:`run_simulation`,
-    :meth:`repro.scenario.Scenario.run`, and runner job specs (the
-    ``"options"`` scenario key).  Every field defaults to ``None``,
-    meaning "use the call's default" — so partial options compose with
-    scenario- or call-level settings instead of overriding them with
-    their own defaults.
+    A scenario fixes the machine, workload, policy and duration; these
+    three only choose how it runs, and none of them changes a single bit
+    of the result.  This is the one argument of
+    :meth:`repro.scenario.Scenario.run`, and what a runner job's
+    ``"options"`` object and top-level ``"obs"`` key are read into
+    (:func:`repro.runner.executor.read_run_options`).  The fields mean
+    what :func:`run_simulation`'s keywords of the same names mean.
     """
 
-    policy: PolicySpec | str | None = None
-    policy_config: EnergyAwareConfig | None = None
-    duration_s: float | None = None
-    fast_path: bool | None = None
-    validate: object = None
-    obs: object = None
-
-    def __post_init__(self) -> None:
-        if self.policy is not None:
-            # Reject unknown names at construction, not at run time.
-            PolicySpec.coerce(self.policy)
+    fast_path: bool = True
+    validate: object = False
+    obs: object = False
 
 
 def run_simulation(
     config: SystemConfig,
     workload: WorkloadSpec,
-    policy: PolicySpec | str | None = None,
+    *,
+    policy: PolicySpec | str = "energy",
     policy_config: EnergyAwareConfig | None = None,
-    duration_s: float | None = None,
-    fast_path: bool | None = None,
-    validate=None,
-    obs=None,
-    options: RunOptions | None = None,
+    duration_s: float = 300.0,
+    fast_path: bool = True,
+    validate=False,
+    obs=False,
 ) -> SimulationResult:
     """Build a system, run it for ``duration_s``, return the result.
-
-    Parameters may be given as the traditional keywords or bundled in
-    ``options=`` (a :class:`RunOptions`); mixing both in one call is an
-    error.  Defaults: ``policy="energy"``, ``duration_s=300``,
-    ``fast_path=True``, ``validate=False``, ``obs=False``.
 
     ``policy`` accepts a :class:`~repro.core.policyspec.PolicySpec`, a name
     string, or a ``{"name": ..., "params": {...}}`` mapping; unknown
@@ -284,44 +271,12 @@ def run_simulation(
     Observation never changes results — runs with and without it are
     bit-identical (the obs tests assert this).
     """
-    if options is not None:
-        explicit = [
-            name
-            for name, value in (
-                ("policy", policy),
-                ("policy_config", policy_config),
-                ("duration_s", duration_s),
-                ("fast_path", fast_path),
-                ("validate", validate),
-                ("obs", obs),
-            )
-            if value is not None
-        ]
-        if explicit:
-            raise ValueError(
-                "pass run parameters either as keywords or bundled in "
-                f"options=, not both (got keyword(s): {', '.join(explicit)})"
-            )
-    else:
-        options = RunOptions(
-            policy=policy,
-            policy_config=policy_config,
-            duration_s=duration_s,
-            fast_path=fast_path,
-            validate=validate,
-            obs=obs,
-        )
-    policy = options.policy if options.policy is not None else "energy"
-    duration_s = options.duration_s if options.duration_s is not None else 300.0
-    fast_path = options.fast_path if options.fast_path is not None else True
-    validate = options.validate if options.validate is not None else False
-    obs = options.obs if options.obs is not None else False
     clock = Clock(config.tick_ms)
     system = System(
         config,
         workload,
-        policy=PolicySpec.coerce(policy),
-        policy_config=options.policy_config,
+        policy=policy,
+        policy_config=policy_config,
         fast_path=fast_path,
         validate=validate,
         obs=obs,

@@ -16,10 +16,12 @@ across worker counts and cache states.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import sys
 
+from repro.api import RunOptions
 from repro.experiments import REGISTRY, run_experiment
 
 #: Version of the ``--json`` report envelope shared by ``validate``,
@@ -932,8 +934,6 @@ def _load_scenario_file(parser, path):
 def _run_observed(parser, args):
     """Shared trace/explain execution: resolve the source, run with
     observability on, return (result, scenario name)."""
-    from repro.api import run_simulation
-
     if args.file is not None:
         scenario = _load_scenario_file(parser, args.file)
         name, default_duration = scenario.workload.name, scenario.duration_s
@@ -948,9 +948,8 @@ def _run_observed(parser, args):
         scenario = parse_scenario(pinned.scenario)
         name, default_duration = pinned.name, OBS_DEFAULT_DURATION_S
     duration = args.duration if args.duration is not None else default_duration
-    result = run_simulation(
-        scenario.config, scenario.workload, policy=scenario.policy,
-        duration_s=duration, obs=True,
+    result = dataclasses.replace(scenario, duration_s=duration).run(
+        RunOptions(obs=True)
     )
     return result, name
 
@@ -1026,12 +1025,6 @@ def _cmd_explain(parser, args) -> int:
         )
     result, name = _run_observed(parser, args)
     audit = result.audit
-    if audit is None:
-        # Unreachable through this command (it always runs with obs on),
-        # but keep the exit clean if a future path hands us a bare run.
-        print(f"error: {name} ran without the decision audit log; re-run "
-              f"with observability enabled", file=sys.stderr)
-        return 1
     if args.pid is None and args.site is None and not args.accepted_only:
         # Summary mode: what did the audit log capture?
         payload = {
@@ -1073,9 +1066,16 @@ def _cmd_explain(parser, args) -> int:
             print(_format_audit_record(record))
         print(f"{len(records)} record(s) matched", file=sys.stderr)
         if not records and len(audit):
+            import shlex
+
+            source = (f"--file {shlex.quote(args.file)}"
+                      if args.file is not None
+                      else f"--scenario {args.scenario}")
+            if args.duration is not None:
+                source += f" --duration {args.duration!r}"
             print(f"hint: {len(audit)} records exist; 'repro explain "
-                  f"--scenario {args.scenario}' summarizes the sites and "
-                  f"pids seen", file=sys.stderr)
+                  f"{source}' summarizes the sites and pids seen",
+                  file=sys.stderr)
     return 0
 
 
@@ -1185,7 +1185,7 @@ def main(argv: list[str] | None = None) -> int:
                 validate=args.validate, on_checkpoint=on_checkpoint,
             )
         else:
-            result = scenario.run(validate=args.validate)
+            result = scenario.run(RunOptions(validate=args.validate))
         print(run_summary_json(result))
         violations = result.violations
         if violations:

@@ -65,7 +65,7 @@ from repro.core.policy import balance_can_move
 from repro.cpu.pmc import wrap_horizon
 from repro.cpu.thermal import rc_decay
 from repro.sim.clock import Clock
-from repro.system import System
+from repro.system import System, _hk_fires
 
 _INF = float("inf")
 
@@ -943,18 +943,17 @@ class FleetEngine:
         if cached is not None:
             return cached
         C = self.n_cpus
-        bal = [
-            frozenset(c for c in range(C) if (rr + 3 * c) % bt == 0)
-            for rr in range(bt)
-        ]
-        idle = [
-            frozenset(c for c in range(C) if (rr + c) % it == 0)
-            for rr in range(it)
-        ]
-        hot = [
-            frozenset(c for c in range(C) if (rr + c) % ht == 0)
-            for rr in range(ht)
-        ]
+
+        def cpus(period: int, bit: int) -> list[frozenset]:
+            # The single-machine stagger rule, per residue of one period:
+            # mask bit 1 / 2 / 4 = balance / idle candidate / hot check.
+            return [
+                frozenset(c for c, mask in _hk_fires(rr, bt, it, ht, C)
+                          if mask & bit)
+                for rr in range(period)
+            ]
+
+        bal, idle, hot = cpus(bt, 1), cpus(it, 2), cpus(ht, 4)
         # idle-residue cpu indices as arrays: the idle-only tick uses
         # them to column-slice has_cur and skip machines whose idle
         # candidates are all occupied (nr == 0 implies current is None,

@@ -50,6 +50,7 @@ from repro.resilience.supervisor import (
     ExecutorStats,
     SupervisedPool,
     SupervisorConfig,
+    _describe,
     backoff_delay_s,
 )
 from repro.runner.cache import CacheStats, ResultCache
@@ -61,9 +62,10 @@ def execute_spec(spec: JobSpec) -> dict:
 
     Experiment specs dispatch to the registry's structured entrypoint
     (:func:`repro.experiments.experiment_metrics`); scenario specs are
-    parsed by :mod:`repro.scenario` after overrides/duration/seed are
-    merged in.  Imports happen here, not at module import, so spawning
-    a pool does not pay for them twice.
+    parsed by :func:`parse_scenario_spec` after overrides/duration/seed
+    are merged in, and run with the switches it read.  Imports happen
+    here, not at module import, so spawning a pool does not pay for them
+    twice.
     """
     if spec.experiment is not None:
         from repro.experiments import experiment_metrics
@@ -71,21 +73,10 @@ def execute_spec(spec: JobSpec) -> dict:
         return experiment_metrics(
             spec.experiment, duration_s=spec.duration_s, seed=spec.seed
         )
-    scenario, options_data, obs = parse_scenario_spec(spec)
-    if options_data:
-        from repro.api import RunOptions
-
-        result = scenario.run(
-            options=RunOptions(
-                fast_path=options_data.get("fast_path"),
-                validate=options_data.get("validate"),
-                obs=obs or None,
-            )
-        )
-    else:
-        result = scenario.run(obs=obs)
+    scenario, options = parse_scenario_spec(spec)
+    result = scenario.run(options)
     out = scenario_result(scenario, result)
-    if obs:
+    if options.obs:
         # Per-job metrics ride along in sweep outputs.  The snapshot is
         # deterministic (mirrored counters and state gauges only — no
         # wall clocks), so it is safe inside cached results.
@@ -94,25 +85,44 @@ def execute_spec(spec: JobSpec) -> dict:
     return out
 
 
-def parse_scenario_spec(spec: JobSpec) -> tuple:
-    """Parse a scenario spec as its job does: ``(scenario, options, obs)``.
+def read_run_options(data: dict):
+    """Pop a job's run switches off its merged scenario dict.
 
-    The merged scenario dict carries two run-option keys, ``obs`` and
-    ``options``, which are split off before :func:`parse_scenario`
-    sees it.  Raises ``ValueError`` (or ``KeyError``) on a scenario
-    that cannot build.
+    Two keys carry them: the ``"options"`` object (``fast_path``,
+    ``validate``, ``obs``; a ``null`` keeps the default, and any other
+    key raises ``ValueError``) and the top-level ``"obs"``, which turns
+    the observer on as ``options.obs`` does.  Returns the
+    :class:`~repro.api.RunOptions` they spell; JSON holds only plain
+    values, so each switch is read as a bool.
+    """
+    from repro.api import RunOptions
+
+    given = data.pop("options", None) or {}
+    if not isinstance(given, dict):
+        raise ValueError(f"'options' must be an object, not {given!r}")
+    unknown = set(given) - {"fast_path", "validate", "obs"}
+    if unknown:
+        raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
+    switches = {
+        key: bool(value) for key, value in given.items() if value is not None
+    }
+    if data.pop("obs", False):
+        switches["obs"] = True
+    return RunOptions(**switches)
+
+
+def parse_scenario_spec(spec: JobSpec) -> tuple:
+    """Parse a scenario spec as its job does: ``(scenario, options)``.
+
+    :func:`read_run_options` takes the run switches off the merged
+    scenario dict before :func:`parse_scenario` sees the rest.  Raises
+    ``ValueError`` (or ``KeyError``) on a scenario that cannot build.
     """
     from repro.scenario import parse_scenario
 
     data = spec.scenario_data()
-    obs = bool(data.pop("obs", False))
-    options_data = dict(data.pop("options", None) or {})
-    unknown = set(options_data) - {"fast_path", "validate", "obs"}
-    if unknown:
-        raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
-    if "obs" in options_data:
-        obs = bool(options_data["obs"]) or obs
-    return parse_scenario(data), options_data, obs
+    options = read_run_options(data)
+    return parse_scenario(data), options
 
 
 def scenario_result(scenario, result) -> dict:
@@ -389,10 +399,6 @@ def _emit_outcome(bus, index: int, outcome: JobOutcome, **data) -> None:
             "job_failed", index=index, attempts=outcome.attempts,
             error=outcome.error or "",
         )
-
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _run_serial(

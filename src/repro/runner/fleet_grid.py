@@ -28,9 +28,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
+from repro.resilience.supervisor import _describe
 from repro.runner.executor import (
     GridReport,
     JobOutcome,
+    parse_scenario_spec,
     run_grid,
     scenario_result,
 )
@@ -49,25 +51,23 @@ MIN_FLEET_BATCH = 2
 def _fleet_candidate(spec: JobSpec):
     """Parse one scenario spec and say whether the fleet can run it.
 
-    Returns ``(scenario, None)`` for a job whose configuration the
-    arrays model and ``(None, reason)`` otherwise.  Nothing is built
-    here, and parse errors are not raised — the pool path will surface
-    them with the executor's full retry/quarantine machinery.
+    Returns ``(scenario, None)`` for a job with the default run options
+    whose configuration the arrays model, and ``(None, reason)``
+    otherwise.  Nothing is built here, and parse errors are not raised —
+    the pool path will surface them with the executor's full
+    retry/quarantine machinery.
     """
+    from repro.api import RunOptions
     from repro.fleet import fleet_config_reasons
-    from repro.scenario import parse_scenario
 
     if spec.experiment is not None:
         return None, "experiment specs always run on the pool"
-    data = spec.scenario_data()
-    if data.get("obs"):
-        return None, "observability requested"
-    if data.get("options"):
-        return None, "run options requested"
     try:
-        scenario = parse_scenario(data)
+        scenario, options = parse_scenario_spec(spec)
     except Exception as exc:
-        return None, f"build failed ({type(exc).__name__}: {exc})"
+        return None, f"build failed ({_describe(exc)})"
+    if options != RunOptions():
+        return None, f"run options requested: {options}"
     reasons = fleet_config_reasons(
         scenario.config, scenario.workload, scenario.policy
     )
@@ -151,7 +151,7 @@ def run_fleet_stage(
             if bus is not None:
                 bus.emit("fleet_chunk_finished", chunk=batch_no,
                          members=len(chunk), ok=False,
-                         error=f"{type(exc).__name__}: {exc}")
+                         error=_describe(exc))
             continue
         if fleet_stats is None:
             fleet_stats = FleetStats()

@@ -27,7 +27,7 @@ and ``power: {"noise_sigma": ...}``.  Fleet-eligible scenarios (see
 to 0.
 
 Used by ``python -m repro run-file <scenario.json>`` and directly via
-:func:`load_scenario` / :func:`run_scenario_dict`.
+:func:`load_scenario` / :func:`parse_scenario` and :meth:`Scenario.run`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import math
 import pathlib
 from collections.abc import Mapping
-from dataclasses import dataclass, replace as dataclasses_replace
+from dataclasses import dataclass
 
 from repro.api import RunOptions, SimulationResult, run_simulation
 from repro.config import SystemConfig
@@ -70,30 +70,17 @@ class Scenario:
     policy: PolicySpec
     duration_s: float
 
-    def run(
-        self, validate=False, obs=False, options: RunOptions | None = None
-    ) -> SimulationResult:
-        if options is not None:
-            if validate or obs:
-                raise ValueError(
-                    "pass validate/obs inside options= when using RunOptions"
-                )
-            # The scenario's own policy/duration fill unset option fields.
-            merged = dataclasses_replace(
-                options,
-                policy=(
-                    options.policy if options.policy is not None else self.policy
-                ),
-                duration_s=(
-                    options.duration_s
-                    if options.duration_s is not None
-                    else self.duration_s
-                ),
-            )
-            return run_simulation(self.config, self.workload, options=merged)
+    def run(self, options: RunOptions = RunOptions()) -> SimulationResult:
+        """Run this scenario with its own policy and duration.
+
+        ``options`` picks only the run switches (fast or scalar path,
+        invariant checker, observer); to run another duration or policy,
+        ``dataclasses.replace`` the scenario first.
+        """
         return run_simulation(
             self.config, self.workload, policy=self.policy,
-            duration_s=self.duration_s, validate=validate, obs=obs,
+            duration_s=self.duration_s, fast_path=options.fast_path,
+            validate=options.validate, obs=options.obs,
         )
 
 

@@ -21,6 +21,7 @@ kernel integration:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace as dataclasses_replace
 from functools import lru_cache
 from math import cos as _cos, inf, lcm, log as _log, sin as _sin, sqrt as _sqrt
@@ -190,7 +191,6 @@ class System:
         workload: WorkloadSpec,
         policy: PolicySpec | str = "energy",
         policy_config: EnergyAwareConfig | None = None,
-        tracer: Tracer | None = None,
         fast_path: bool = True,
         validate=False,
         obs=False,
@@ -214,7 +214,7 @@ class System:
         self.policy_spec = policy
         self.policy_name = policy.name
         self.fast_path = bool(fast_path)
-        self.tracer = tracer if tracer is not None else Tracer(config.sample_interval_s)
+        self.tracer = Tracer(config.sample_interval_s)
         self.rng = RngFactory(config.seed)
         spec = config.machine
 
@@ -568,50 +568,57 @@ class System:
         :class:`~repro.obs.observer.ObservabilityConfig` enables
         profiling.  Calls the same phase methods in the same order —
         both the fast and the scalar execution path go through here —
-        so results are unchanged; only wall time is observed.
+        so results are unchanged; only wall time is observed.  A
+        ``gc.callbacks`` hook, installed for this tick only, lets the
+        timers move cyclic-GC pauses into their own ``gc`` phase.
         """
         prof = self.observer.profile
-        now = perf_counter
-        now_ms = clock.now_ms
-        self._now_ms = now_ms
-        t0 = now()
-        if self._has_power_caps and len(self.containers):
-            self.containers.refill_all(clock.tick_s)
-        self._wake_due(now_ms)
-        self._fork_due(now_ms)
-        t1 = now()
-        prof.add("wake_fork", t1 - t0)
-        self._dispatch()
-        t2 = now()
-        prof.add("dispatch", t2 - t1)
-        if self.fast_path:
-            self._execute_fast(clock)
-            t3 = now()
-            prof.add("execute", t3 - t2)
-            self._thermal_step_fast(clock)
-        else:
-            self._execute(clock)
-            t3 = now()
-            prof.add("execute", t3 - t2)
-            self._thermal_step(clock)
-        t4 = now()
-        prof.add("thermal", t4 - t3)
-        self._throttle_step(clock)
-        t5 = now()
-        prof.add("throttle", t5 - t4)
-        self._housekeeping(clock)
-        t6 = now()
-        prof.add("housekeeping", t6 - t5)
-        if clock.ticks == 1 or clock.ticks % self._sample_every == 0:
-            self._sample_traces(clock)
-            t7 = now()
-            prof.add("sample", t7 - t6)
-        else:
-            t7 = t6
-        if self.validator is not None:
-            self.validator.after_tick(clock)
-            prof.add("validate", now() - t7)
-        prof.tick_done()
+        hook = prof.on_gc
+        gc.callbacks.append(hook)
+        try:
+            now = perf_counter
+            now_ms = clock.now_ms
+            self._now_ms = now_ms
+            t0 = now()
+            if self._has_power_caps and len(self.containers):
+                self.containers.refill_all(clock.tick_s)
+            self._wake_due(now_ms)
+            self._fork_due(now_ms)
+            t1 = now()
+            prof.add("wake_fork", t1 - t0)
+            self._dispatch()
+            t2 = now()
+            prof.add("dispatch", t2 - t1)
+            if self.fast_path:
+                self._execute_fast(clock)
+                t3 = now()
+                prof.add("execute", t3 - t2)
+                self._thermal_step_fast(clock)
+            else:
+                self._execute(clock)
+                t3 = now()
+                prof.add("execute", t3 - t2)
+                self._thermal_step(clock)
+            t4 = now()
+            prof.add("thermal", t4 - t3)
+            self._throttle_step(clock)
+            t5 = now()
+            prof.add("throttle", t5 - t4)
+            self._housekeeping(clock)
+            t6 = now()
+            prof.add("housekeeping", t6 - t5)
+            if clock.ticks == 1 or clock.ticks % self._sample_every == 0:
+                self._sample_traces(clock)
+                t7 = now()
+                prof.add("sample", t7 - t6)
+            else:
+                t7 = t6
+            if self.validator is not None:
+                self.validator.after_tick(clock)
+                prof.add("validate", now() - t7)
+            prof.tick_done()
+        finally:
+            gc.callbacks.remove(hook)
 
     # -- wakeups and forks ------------------------------------------------------
     def _wake_due(self, now_ms: int) -> None:

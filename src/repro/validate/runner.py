@@ -24,13 +24,13 @@ can diff reports across commits.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
 import traceback
 from typing import Iterable, Sequence
 
-from repro.api import SimulationResult
 from repro.core.policyspec import canonical_policy_value
 from repro.scenario import parse_scenario
 from repro.scenarios.pinned import REFERENCE_SCENARIOS, PinnedScenario
@@ -317,14 +317,8 @@ def golden_trace(
         PYTHONPATH=src python -m repro validate --write-golden tests/golden
     """
     parsed = parse_scenario(scenario.scenario)
-    clock = Clock(parsed.config.tick_ms)
-    system = System(parsed.config, parsed.workload, policy=parsed.policy,
-                    fast_path=True)
-    engine = Engine(clock, system.tracer)
-    engine.register(system)
-    engine.run_for(duration_s)
-    result = SimulationResult(system=system, duration_s=duration_s)
-    tracer = system.tracer
+    result = dataclasses.replace(parsed, duration_s=duration_s).run()
+    tracer = result.system.tracer
     return {
         "schema": GOLDEN_SCHEMA,
         "scenario": scenario.name,

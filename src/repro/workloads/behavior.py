@@ -111,10 +111,6 @@ class Behavior:
         raise NotImplementedError
 
     # -- executor interface ---------------------------------------------------
-    @property
-    def current_phase(self) -> PhaseSpec:
-        return self.phases[self._phase_index]
-
     def advance(self, busy_dt_s: float) -> tuple[int, float]:
         """Advance ``busy_dt_s`` of execution, making every draw of it.
 

@@ -84,6 +84,42 @@ class TestPartitioning:
         _scenario, reason = _fleet_candidate(spec)
         assert "build failed" in reason
 
+    @pytest.mark.parametrize("switches", [
+        {"obs": True},
+        {"options": {"obs": True}},
+        {"options": {"validate": True}},
+        {"options": {"fast_path": False}},
+    ])
+    def test_run_switches_go_to_pool(self, switches):
+        spec = _fleet_spec(1, **switches)
+        scenario, reason = _fleet_candidate(spec)
+        assert scenario is None and "run options" in reason
+        report = run_grid_fleet([spec, _fleet_spec(2, **switches)])
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats is None
+
+    def test_default_switches_ride_the_fleet(self, tmp_path, capsys):
+        """Run switches spelled out at their defaults are the defaults:
+        the jobs batch on the fleet and print the pool's bytes."""
+        from repro.cli import main
+
+        defaults = dict(FLEET_SCENARIO_JSON, obs=False, options={
+            "fast_path": True, "validate": False, "obs": None})
+        report = run_grid_fleet(
+            [JobSpec(scenario=defaults, seed=seed) for seed in (1, 2)])
+        assert report.fleet_stats.members == 2
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(defaults))
+        outputs = []
+        for engine in ("fleet", "pool"):
+            code = main([
+                "sweep", "--scenario", str(path), "--seeds", "1..2",
+                "--engine", engine, "--no-cache", "--json",
+            ])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestStageBuilds:
     """The fleet stage builds a System only for a chunk it batches; every

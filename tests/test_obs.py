@@ -385,6 +385,28 @@ class TestPhaseTimers:
         report = PhaseTimers().report()
         assert report == {"ticks": 0, "timed_total_s": 0.0, "phases": {}}
 
+    def test_collection_time_moves_to_gc(self, monkeypatch):
+        """A collection's time leaves the phase it ran in for ``gc``; the
+        part of a pause longer than that phase carries to the next."""
+        import repro.obs.profiling as profiling
+
+        clock = iter([1.0, 1.25])
+        monkeypatch.setattr(profiling, "perf_counter", lambda: next(clock))
+        timers = PhaseTimers()
+        timers.on_gc("start", {})
+        timers.on_gc("stop", {})
+        timers.add("wake_fork", 0.125)
+        timers.add("dispatch", 0.5)
+        timers.tick_done()
+        report = timers.report()
+        assert report["timed_total_s"] == pytest.approx(0.625)
+        assert list(report["phases"]) == ["wake_fork", "dispatch", "gc"]
+        phases = report["phases"]
+        assert phases["wake_fork"]["total_s"] == 0.0
+        assert phases["dispatch"]["total_s"] == pytest.approx(0.375)
+        assert phases["gc"]["total_s"] == pytest.approx(0.25)
+        assert phases["gc"]["calls"] == 1
+
 
 class TestObservabilityConfig:
     def test_coerce_semantics(self):
@@ -476,6 +498,40 @@ class TestObserverIntegration:
         assert report["phases"]["execute"]["calls"] == 100
         # Profiling plus metrics feeds the balance-pass histogram live.
         assert result.observer.balance_hist.count() > 0
+
+    def test_gc_pauses_are_their_own_phase(self, monkeypatch):
+        """A collection inside a phase is reported as ``gc``, the phases
+        still sum to the timed total, the per-tick hook is gone after
+        the run, and the physics is untouched."""
+        import gc
+
+        from repro.system import System
+
+        def run(**kwargs):
+            config = SystemConfig(machine=MachineSpec.smp(2), seed=1)
+            return run_simulation(config, mixed_table2_workload(1),
+                                  duration_s=0.5, **kwargs)
+
+        plain = run()
+        housekeeping = System._housekeeping
+
+        def collecting(self, clock):
+            gc.collect(0)
+            housekeeping(self, clock)
+
+        monkeypatch.setattr(System, "_housekeeping", collecting)
+        hooks = list(gc.callbacks)
+        profiled = run(obs=ObservabilityConfig(audit=False, metrics=False,
+                                               profiling=True))
+        assert gc.callbacks == hooks
+        report = profiled.observer.phase_report()
+        assert list(report["phases"])[-1] == "gc"
+        assert report["phases"]["gc"]["total_s"] > 0
+        assert report["phases"]["gc"]["calls"] >= report["ticks"]
+        assert sum(row["total_s"] for row in report["phases"].values()) == (
+            pytest.approx(report["timed_total_s"]))
+        assert (json.dumps(profiled.scalar_summary(), sort_keys=True)
+                == json.dumps(plain.scalar_summary(), sort_keys=True))
 
     def test_phase_report_none_without_profiling(self, migrating_run):
         assert migrating_run.observer.phase_report() is None

@@ -254,6 +254,20 @@ class TestZeroRecordExits:
         assert "0 record(s) matched" in captured.err
         assert "hint:" in captured.err
 
+    def test_explain_filter_miss_hint_repeats_the_run(self, quick_file,
+                                                      capsys):
+        """The hint names the file and duration that ran, not the
+        default pinned scenario."""
+        import shlex
+
+        code = main(["explain", "--file", quick_file, "--duration", "0.5",
+                     "--site", "migration"])
+        assert code == 0
+        hint = capsys.readouterr().err.splitlines()[-1]
+        assert hint.startswith("hint:")
+        assert (f"'repro explain --file {shlex.quote(quick_file)} "
+                f"--duration 0.5'") in hint
+
     def test_trace_zero_events_notes_and_exports_empty(
             self, quick_file, capsys, monkeypatch):
         """Zero trace events stays a valid (empty) export plus a stderr

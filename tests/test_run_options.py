@@ -1,11 +1,18 @@
-"""RunOptions: the bundled run-parameter API and its compatibility."""
+"""Run parameters: one spelling per entry point, one reader of a job's
+run switches."""
+
+import dataclasses
+import inspect
+import json
 
 import pytest
 
 from repro.api import RunOptions, run_simulation
 from repro.config import SystemConfig
 from repro.cpu.topology import MachineSpec
-from repro.scenario import parse_scenario
+from repro.runner.executor import read_run_options
+from repro.scenario import Scenario, parse_scenario
+from repro.system import System
 from repro.workloads.generator import mixed_table2_workload
 
 
@@ -17,38 +24,34 @@ def smp_config(n=2, **kwargs):
 
 
 class TestConstruction:
-    def test_all_fields_default_to_none(self):
-        options = RunOptions()
-        assert options.policy is None
-        assert options.duration_s is None
-        assert options.fast_path is None
+    def test_three_switches_with_real_defaults(self):
+        names = [field.name for field in dataclasses.fields(RunOptions)]
+        assert names == ["fast_path", "validate", "obs"]
+        assert RunOptions() == RunOptions(fast_path=True, validate=False,
+                                          obs=False)
 
-    def test_unknown_policy_rejected_up_front(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            RunOptions(policy="turbo")
+
+class TestSignatures:
+    def test_run_simulation_takes_run_parameters_by_keyword(self):
+        params = inspect.signature(run_simulation).parameters
+        assert "options" not in params
+        assert [p.name for p in params.values()
+                if p.kind is p.KEYWORD_ONLY] == [
+            "policy", "policy_config", "duration_s", "fast_path",
+            "validate", "obs",
+        ]
+        with pytest.raises(TypeError):
+            run_simulation(smp_config(), mixed_table2_workload(1), "energy")
+
+    def test_scenario_run_takes_only_options(self):
+        assert list(inspect.signature(Scenario.run).parameters) == [
+            "self", "options"]
+
+    def test_system_has_no_tracer_parameter(self):
+        assert "tracer" not in inspect.signature(System).parameters
 
 
 class TestRunSimulation:
-    def test_options_equivalent_to_kwargs(self):
-        config = smp_config()
-        workload = mixed_table2_workload(1)
-        via_kwargs = run_simulation(
-            config, workload, policy="energy", duration_s=2.0
-        )
-        via_options = run_simulation(
-            config, workload,
-            options=RunOptions(policy="energy", duration_s=2.0),
-        )
-        assert (via_kwargs.scalar_summary()
-                == via_options.scalar_summary())
-
-    def test_mixing_kwargs_and_options_rejected(self):
-        with pytest.raises(ValueError, match="duration_s"):
-            run_simulation(
-                smp_config(), mixed_table2_workload(1), duration_s=2.0,
-                options=RunOptions(policy="energy"),
-            )
-
     def test_old_kwargs_still_accepted(self):
         result = run_simulation(
             smp_config(), mixed_table2_workload(1), policy="baseline",
@@ -73,16 +76,46 @@ class TestScenarioRun:
         assert result.duration_s == 2.0
         assert result.system.validator is not None
 
-    def test_options_override_scenario_fields(self):
-        result = self.scenario().run(
-            options=RunOptions(policy="energy", duration_s=1.0)
-        )
-        assert result.system.policy_name == "energy"
-        assert result.duration_s == 1.0
 
-    def test_mixing_options_with_flags_rejected(self):
-        with pytest.raises(ValueError, match="options"):
-            self.scenario().run(validate=True, options=RunOptions())
+class TestReadRunOptions:
+    @pytest.mark.parametrize("keys, expected", [
+        ({}, RunOptions()),
+        ({"obs": True}, RunOptions(obs=True)),
+        ({"options": {"obs": True}}, RunOptions(obs=True)),
+        ({"obs": True, "options": {"obs": False}}, RunOptions(obs=True)),
+        ({"options": {"fast_path": None, "validate": None, "obs": None}},
+         RunOptions()),
+        ({"options": {"fast_path": False, "validate": True}},
+         RunOptions(fast_path=False, validate=True)),
+    ])
+    def test_spellings(self, keys, expected):
+        data = {"policy": "energy", **keys}
+        assert read_run_options(data) == expected
+        assert data == {"policy": "energy"}
+
+    @pytest.mark.parametrize("options", [{"turbo": True}, ["fast_path"]])
+    def test_bad_options_rejected(self, options):
+        with pytest.raises(ValueError, match="option"):
+            read_run_options({"options": options})
+
+    def test_batch_checks_option_keys_before_running(self, tmp_path,
+                                                     capsys):
+        from repro.cli import main
+
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{
+            "scenario": {
+                "machine": {"preset": "smp", "n_cpus": 2},
+                "workload": {"builder": "mixed_table2", "copies": 1},
+                "options": {"turbo": True},
+            },
+            "seeds": [1],
+            "duration_s": 1.0,
+        }]))
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(grid), "--no-cache"])
+        assert exc.value.code == 2
+        assert "turbo" in capsys.readouterr().err
 
 
 class TestRunnerSpecs:
@@ -118,8 +151,6 @@ class TestRunnerSpecs:
             execute_spec(spec)
 
     def test_fast_and_scalar_option_results_identical(self):
-        import json
-
         from repro.runner.executor import execute_spec
         from repro.runner.spec import JobSpec
 

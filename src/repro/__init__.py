@@ -48,7 +48,7 @@ from repro.workloads.generator import (
     short_task_storm,
     single_program_workload,
 )
-from repro.scenario import Scenario, load_scenario, parse_scenario
+from repro.scenario import Scenario, parse_scenario, read_scenario
 from repro.workloads.programs import PROGRAMS, ProgramSpec, program
 from repro.workloads.traces import PowerTrace
 
@@ -79,11 +79,11 @@ __all__ = [
     "compare_policies",
     "homogeneity_scenario",
     "homogeneity_sweep",
-    "load_scenario",
     "mixed_table2_workload",
     "parse_scenario",
     "policy_names",
     "program",
+    "read_scenario",
     "run_simulation",
     "short_task_storm",
     "single_program_workload",

@@ -228,11 +228,11 @@ class RunOptions:
 
     A scenario fixes the machine, workload, policy and duration; these
     three only choose how it runs, and none of them changes a single bit
-    of the result.  This is the one argument of
-    :meth:`repro.scenario.Scenario.run`, and what a runner job's
-    ``"options"`` object and top-level ``"obs"`` key are read into
-    (:func:`repro.runner.executor.read_run_options`).  The fields mean
-    what :func:`run_simulation`'s keywords of the same names mean.
+    of the result: the argument of :meth:`repro.scenario.Scenario.run`
+    and of a checkpointed run, and what a scenario document's
+    ``"options"`` object and ``"obs"`` key are read into
+    (:func:`repro.scenario.read_run_options`).  The fields mean what
+    :func:`run_simulation`'s keywords of the same names mean.
     """
 
     fast_path: bool = True

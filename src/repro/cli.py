@@ -21,7 +21,6 @@ import difflib
 import json
 import sys
 
-from repro.api import RunOptions
 from repro.experiments import REGISTRY, run_experiment
 
 #: Version of the ``--json`` report envelope shared by ``validate``,
@@ -602,7 +601,7 @@ def _check_jobs(parser, specs) -> None:
     name a registered experiment, and each distinct scenario job must
     parse (once).
     """
-    from repro.runner.executor import parse_scenario_spec
+    from repro.scenario import read_scenario
 
     seen = set()
     for spec in specs:
@@ -619,7 +618,7 @@ def _check_jobs(parser, specs) -> None:
             continue
         seen.add(key)
         try:
-            parse_scenario_spec(spec)
+            read_scenario(spec.scenario_data())
         except (ValueError, KeyError) as exc:
             parser.error(f"cannot build scenario {spec.label}: {exc}")
 
@@ -676,17 +675,8 @@ def _cmd_sweep(parser, args) -> int:
 
         from repro.runner import JobSpec, parse_seeds
 
-        path = pathlib.Path(args.scenario)
-        try:
-            data = json.loads(path.read_text())
-            if not isinstance(data, dict):
-                raise ValueError(
-                    "a scenario must be a JSON object, not "
-                    f"{type(data).__name__}"
-                )
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read scenario {args.scenario}: {exc}")
-        data.setdefault("name", path.stem)
+        data = _read_scenario_file(parser, args.scenario)
+        data.setdefault("name", pathlib.Path(args.scenario).stem)
         try:
             specs = [
                 JobSpec(scenario=data, seed=seed, duration_s=args.duration)
@@ -745,24 +735,12 @@ def _cmd_batch(parser, args) -> int:
 
     replay = None
     if args.resume is not None:
-        flat, meta_args, replay = _resume_specs(parser, args, "batch")
-        grid_path = args.path or meta_args.get("path")
-        entries = None
-        if grid_path is not None:
-            try:
-                entries = load_grid(grid_path)
-            except (OSError, ValueError):
-                entries = None  # journal specs still carry the grid
-        if entries is not None:
-            from_grid = [s for e in entries for s in e.specs]
-            if ([s.content_hash() for s in from_grid]
-                    != [s.content_hash() for s in flat]):
-                entries = None  # grid file changed since the journal
-        if entries is None:
-            from repro.runner.grid import GridEntry
-
-            entries = [GridEntry(label="resumed batch", specs=tuple(flat))]
-        command_args = {"path": grid_path}
+        flat, command_args, replay = _resume_specs(parser, args, "batch")
+        # The journal meta records each entry's label and job count, so
+        # the blocks print as they did whatever became of the grid file.
+        layout = command_args.get("entries")
+        if not layout or sum(count for _label, count in layout) != len(flat):
+            layout = [("resumed batch", len(flat))]
     else:
         if args.path is None:
             parser.error("a grid JSON file is required (or --resume)")
@@ -772,7 +750,8 @@ def _cmd_batch(parser, args) -> int:
             parser.error(f"cannot load grid {args.path!r}: {exc}")
         flat = [spec for entry in entries for spec in entry.specs]
         _check_jobs(parser, flat)
-        command_args = {"path": str(args.path)}
+        layout = [[entry.label, len(entry.specs)] for entry in entries]
+        command_args = {"path": str(args.path), "entries": layout}
     report = _run_jobs(parser, args, flat, command="batch",
                        command_args=command_args, replay=replay)
     if report.interrupted:
@@ -780,17 +759,17 @@ def _cmd_batch(parser, args) -> int:
 
     groups = []
     cursor = 0
-    for entry in entries:
-        outcomes = report.outcomes[cursor:cursor + len(entry.specs)]
-        cursor += len(entry.specs)
+    for label, count in layout:
+        outcomes = report.outcomes[cursor:cursor + count]
+        cursor += count
         samples = [o.result["scalars"] for o in outcomes if o.ok]
-        groups.append((entry, outcomes, samples))
+        groups.append((label, outcomes, samples))
 
     if args.json:
         print(json.dumps(
             [
                 {
-                    "label": entry.label,
+                    "label": label,
                     "jobs": [
                         {"spec": o.spec.to_dict(), "scalars": o.result["scalars"]}
                         for o in outcomes if o.ok
@@ -798,19 +777,19 @@ def _cmd_batch(parser, args) -> int:
                     "aggregate": (_aggregate_json(summarize_scalars(samples))
                                   if samples else None),
                 }
-                for entry, outcomes, samples in groups
+                for label, outcomes, samples in groups
             ],
             indent=2, sort_keys=True,
         ))
     else:
         blocks = []
-        for entry, outcomes, samples in groups:
+        for label, outcomes, samples in groups:
             if not samples:
-                blocks.append(f"{entry.label}: all {len(outcomes)} jobs failed")
+                blocks.append(f"{label}: all {len(outcomes)} jobs failed")
                 continue
             blocks.append(format_scalar_summaries(
                 summarize_scalars(samples),
-                title=f"{entry.label}: {len(samples)} jobs, mean ± 95% CI",
+                title=f"{label}: {len(samples)} jobs, mean ± 95% CI",
             ))
         print("\n\n".join(blocks))
     return 1 if report.failures else 0
@@ -920,36 +899,51 @@ def _cmd_validate(parser, args) -> int:
     return 0 if payload["ok"] else 1
 
 
-def _load_scenario_file(parser, path):
-    """Parse a scenario JSON file; a missing file or bad content exits
-    with a one-line usage error instead of a traceback."""
-    from repro.scenario import load_scenario
+def _read_scenario_file(parser, path) -> dict:
+    """The JSON object in a scenario file; a missing file, bad JSON or a
+    document that is not an object exits with one usage error."""
+    import pathlib
 
     try:
-        return load_scenario(path)
-    except (OSError, ValueError, KeyError) as exc:
+        data = json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot load scenario {path!r}: {exc}")
+    if not isinstance(data, dict):
+        parser.error(f"cannot load scenario {path!r}: a scenario must be a "
+                     f"JSON object, not {type(data).__name__}")
+    return data
+
+
+def _load_scenario_file(parser, path):
+    """``(scenario, run switches)`` of a scenario file, or one usage
+    error naming what cannot build."""
+    from repro.scenario import read_scenario
+
+    try:
+        return read_scenario(_read_scenario_file(parser, path))
+    except (ValueError, KeyError) as exc:
         parser.error(f"cannot load scenario {path!r}: {exc}")
 
 
 def _run_observed(parser, args):
-    """Shared trace/explain execution: resolve the source, run with
-    observability on, return (result, scenario name)."""
+    """Shared trace/explain execution: resolve the source, run it with
+    its switches and the observer on, return (result, scenario name)."""
     if args.file is not None:
-        scenario = _load_scenario_file(parser, args.file)
+        scenario, options = _load_scenario_file(parser, args.file)
         name, default_duration = scenario.workload.name, scenario.duration_s
     else:
-        from repro.scenario import parse_scenario
+        from repro.scenario import read_scenario
         from repro.scenarios.pinned import scenario_by_name
 
         try:
             pinned = scenario_by_name(args.scenario)
         except ValueError as exc:
             parser.error(str(exc))
-        scenario = parse_scenario(pinned.scenario)
+        scenario, options = read_scenario(pinned.scenario)
         name, default_duration = pinned.name, OBS_DEFAULT_DURATION_S
     duration = args.duration if args.duration is not None else default_duration
     result = dataclasses.replace(scenario, duration_s=duration).run(
-        RunOptions(obs=True)
+        dataclasses.replace(options, obs=True)
     )
     return result, name
 
@@ -1169,7 +1163,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run-file":
         from repro.analysis.export import run_summary_json
 
-        scenario = _load_scenario_file(parser, args.path)
+        scenario, options = _load_scenario_file(parser, args.path)
+        options = dataclasses.replace(
+            options, validate=options.validate or args.validate
+        )
         if args.checkpoint is not None:
             from repro.resilience import run_simulation_checkpointed
 
@@ -1178,14 +1175,12 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
 
             result = run_simulation_checkpointed(
-                scenario.config, scenario.workload,
-                checkpoint_path=args.checkpoint, policy=scenario.policy,
-                duration_s=scenario.duration_s,
+                scenario, args.checkpoint, options=options,
                 checkpoint_every_s=args.checkpoint_every,
-                validate=args.validate, on_checkpoint=on_checkpoint,
+                on_checkpoint=on_checkpoint,
             )
         else:
-            result = scenario.run(RunOptions(validate=args.validate))
+            result = scenario.run(options)
         print(run_summary_json(result))
         violations = result.violations
         if violations:

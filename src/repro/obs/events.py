@@ -5,8 +5,8 @@
 heavy multi-job paths — supervised-pool sweeps, fleet-engine batches,
 tournaments — which emit :class:`RunEvent` records while they execute:
 job lifecycle (started / finished / failed / quarantined / cache hit),
-worker incidents (death / pool rebuild / retry backoff), fleet chunk
-progress, and checkpoint writes.
+worker incidents (death / pool rebuild / retry backoff), and fleet
+chunk progress.
 
 Events fan out through an :class:`EventBus` to pluggable sinks:
 
@@ -56,7 +56,6 @@ EVENT_KINDS = (
     "fleet_chunk_started",
     "fleet_chunk_finished",
     "fleet_tick_progress",
-    "checkpoint_written",
 )
 
 _KIND_SET = frozenset(EVENT_KINDS)

@@ -83,16 +83,14 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 
 
 def runner_metrics_registry(
-    exec_stats, cache_stats=None, checkpoints: int | None = None,
-    fleet_stats=None,
+    exec_stats, cache_stats=None, fleet_stats=None,
 ) -> MetricsRegistry:
     """Mirror one sweep's resilience accounting into a registry.
 
     ``exec_stats`` is an :class:`repro.resilience.supervisor.ExecutorStats`
     and ``cache_stats`` a :class:`repro.runner.cache.CacheStats`; both are
     duck-typed (attribute reads only) so the obs layer keeps no runner
-    import.  ``checkpoints`` counts checkpoint files written, for
-    checkpointed runs.  ``fleet_stats`` is a
+    import.  ``fleet_stats`` is a
     :class:`repro.fleet.engine.FleetStats` (also duck-typed) — the
     aggregate counters of a fleet-engine sweep, whose members cannot
     carry per-run observers.  The result renders through
@@ -135,11 +133,6 @@ def runner_metrics_registry(
             registry.counter(name, help_text).set_sample(
                 float(getattr(cache_stats, attr, 0))
             )
-    if checkpoints is not None:
-        registry.counter(
-            "repro_checkpoints_written_total",
-            "Simulation checkpoint files written.",
-        ).set_sample(float(checkpoints))
     if fleet_stats is not None:
         fleet_counters = (
             ("machine_ticks", "repro_fleet_machine_ticks_total",

@@ -59,7 +59,6 @@ class LiveAggregator:
         self.worker_deaths = 0
         self.pool_rebuilds = 0
         self.worker_backoffs = 0
-        self.checkpoints = 0
         self.fleet_machine_ticks = 0
         self.events_by_kind: dict[str, int] = {}
         # (wall time, completions so far) pairs for the rolling rate.
@@ -100,8 +99,6 @@ class LiveAggregator:
                 self.pool_rebuilds += 1
             elif kind == "worker_backoff":
                 self.worker_backoffs += 1
-            elif kind == "checkpoint_written":
-                self.checkpoints += 1
             elif kind == "fleet_tick_progress":
                 ticks = int(data.get("ticks", 0))
                 machines = int(data.get("machines", 1))
@@ -145,7 +142,6 @@ class LiveAggregator:
                 "worker_deaths": self.worker_deaths,
                 "pool_rebuilds": self.pool_rebuilds,
                 "worker_backoffs": self.worker_backoffs,
-                "checkpoints": self.checkpoints,
                 "fleet_machine_ticks": self.fleet_machine_ticks,
                 "fleet_machine_ticks_per_s":
                     self._window_rate(self._fleet_rate_window),
@@ -185,8 +181,6 @@ class LiveAggregator:
              "Worker pools torn down and rebuilt."),
             ("repro_live_worker_backoffs", "worker_backoffs",
              "Retry backoff waits taken."),
-            ("repro_live_checkpoints_written", "checkpoints",
-             "Simulation checkpoints written."),
             ("repro_live_fleet_machine_ticks", "fleet_machine_ticks",
              "Aggregate machine-ticks advanced by fleet engines."),
             ("repro_live_fleet_machine_ticks_per_s",
@@ -232,7 +226,6 @@ def render_top(snap: dict) -> str:
         f"workers  deaths={snap.get('worker_deaths', 0)}"
         f" rebuilds={snap.get('pool_rebuilds', 0)}"
         f" backoffs={snap.get('worker_backoffs', 0)}"
-        f" checkpoints={snap.get('checkpoints', 0)}"
     )
     fleet_ticks = snap.get("fleet_machine_ticks", 0)
     if fleet_ticks:

@@ -30,15 +30,12 @@ import os
 import pathlib
 from typing import Callable
 
-from repro.api import SimulationResult
-from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig
-from repro.core.policyspec import PolicySpec
+from repro.api import RunOptions, SimulationResult
 from repro.runner.cache import code_salt
+from repro.scenario import Scenario
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.system import CHECKPOINT_SCHEMA, CHECKPOINT_VERSION, System
-from repro.workloads.generator import WorkloadSpec
 
 
 class CheckpointError(RuntimeError):
@@ -174,53 +171,42 @@ def resume_simulation(
 
 
 def run_simulation_checkpointed(
-    config: SystemConfig,
-    workload: WorkloadSpec,
+    scenario: Scenario,
     checkpoint_path: str | pathlib.Path,
-    policy: PolicySpec | str = "energy",
-    policy_config: EnergyAwareConfig | None = None,
-    duration_s: float = 300.0,
+    *,
+    options: RunOptions = RunOptions(),
     checkpoint_every_s: float = 60.0,
-    fast_path: bool = True,
-    validate=False,
-    obs=False,
     on_checkpoint: Callable[[pathlib.Path, int], None] | None = None,
-    bus=None,
 ) -> SimulationResult:
-    """:func:`repro.api.run_simulation` with periodic checkpoints.
+    """:meth:`repro.scenario.Scenario.run` with periodic checkpoints.
 
     Every ``checkpoint_every_s`` of *simulated* time the current state
     overwrites ``checkpoint_path`` (atomically — a crash leaves the
-    previous complete snapshot).  ``on_checkpoint(path, ticks)`` is
-    called after each write, e.g. to count checkpoints for metrics;
-    ``bus`` (an optional :class:`repro.obs.events.EventBus`) receives a
-    ``checkpoint_written`` event per write.  Checkpointing only reads
-    state, so the result is bit-identical to an unchecked run.
+    previous complete snapshot), and ``on_checkpoint(path, ticks)`` is
+    called after each write.  Checkpointing only reads state, so the
+    result is bit-identical to ``scenario.run(options)``.
     """
     if checkpoint_every_s <= 0:
         raise ValueError(
             f"checkpoint interval must be positive, got {checkpoint_every_s}"
         )
-    clock = Clock(config.tick_ms)
+    clock = Clock(scenario.config.tick_ms)
     system = System(
-        config,
-        workload,
-        policy=policy,
-        policy_config=policy_config,
-        fast_path=fast_path,
-        validate=validate,
-        obs=obs,
+        scenario.config,
+        scenario.workload,
+        policy=scenario.policy,
+        fast_path=options.fast_path,
+        validate=options.validate,
+        obs=options.obs,
     )
     engine = Engine(clock, system.tracer)
     engine.register(system)
+    duration_s = scenario.duration_s
     total_ticks = clock.ticks_for_ms(duration_s * 1000.0)
     every_ticks = clock.ticks_for_ms(checkpoint_every_s * 1000.0)
     while clock.ticks < total_ticks:
         engine.run_ticks(min(every_ticks, total_ticks - clock.ticks))
         save_checkpoint(checkpoint_path, system, duration_s=duration_s)
-        if bus is not None:
-            bus.emit("checkpoint_written", path=str(checkpoint_path),
-                     ticks=clock.ticks)
         if on_checkpoint is not None:
             on_checkpoint(pathlib.Path(checkpoint_path), clock.ticks)
     return SimulationResult(system=system, duration_s=duration_s)

@@ -62,10 +62,10 @@ def execute_spec(spec: JobSpec) -> dict:
 
     Experiment specs dispatch to the registry's structured entrypoint
     (:func:`repro.experiments.experiment_metrics`); scenario specs are
-    parsed by :func:`parse_scenario_spec` after overrides/duration/seed
-    are merged in, and run with the switches it read.  Imports happen
-    here, not at module import, so spawning a pool does not pay for them
-    twice.
+    read by :func:`repro.scenario.read_scenario` after overrides,
+    duration and seed are merged in, and run with the switches it read.
+    Imports happen here, not at module import, so spawning a pool does
+    not pay for them twice.
     """
     if spec.experiment is not None:
         from repro.experiments import experiment_metrics
@@ -73,7 +73,9 @@ def execute_spec(spec: JobSpec) -> dict:
         return experiment_metrics(
             spec.experiment, duration_s=spec.duration_s, seed=spec.seed
         )
-    scenario, options = parse_scenario_spec(spec)
+    from repro.scenario import read_scenario
+
+    scenario, options = read_scenario(spec.scenario_data())
     result = scenario.run(options)
     out = scenario_result(scenario, result)
     if options.obs:
@@ -83,46 +85,6 @@ def execute_spec(spec: JobSpec) -> dict:
         out["metrics"] = result.metrics_snapshot()
         out["audit_sites"] = result.audit.sites_seen()
     return out
-
-
-def read_run_options(data: dict):
-    """Pop a job's run switches off its merged scenario dict.
-
-    Two keys carry them: the ``"options"`` object (``fast_path``,
-    ``validate``, ``obs``; a ``null`` keeps the default, and any other
-    key raises ``ValueError``) and the top-level ``"obs"``, which turns
-    the observer on as ``options.obs`` does.  Returns the
-    :class:`~repro.api.RunOptions` they spell; JSON holds only plain
-    values, so each switch is read as a bool.
-    """
-    from repro.api import RunOptions
-
-    given = data.pop("options", None) or {}
-    if not isinstance(given, dict):
-        raise ValueError(f"'options' must be an object, not {given!r}")
-    unknown = set(given) - {"fast_path", "validate", "obs"}
-    if unknown:
-        raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
-    switches = {
-        key: bool(value) for key, value in given.items() if value is not None
-    }
-    if data.pop("obs", False):
-        switches["obs"] = True
-    return RunOptions(**switches)
-
-
-def parse_scenario_spec(spec: JobSpec) -> tuple:
-    """Parse a scenario spec as its job does: ``(scenario, options)``.
-
-    :func:`read_run_options` takes the run switches off the merged
-    scenario dict before :func:`parse_scenario` sees the rest.  Raises
-    ``ValueError`` (or ``KeyError``) on a scenario that cannot build.
-    """
-    from repro.scenario import parse_scenario
-
-    data = spec.scenario_data()
-    options = read_run_options(data)
-    return parse_scenario(data), options
 
 
 def scenario_result(scenario, result) -> dict:

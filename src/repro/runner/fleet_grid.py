@@ -32,11 +32,11 @@ from repro.resilience.supervisor import _describe
 from repro.runner.executor import (
     GridReport,
     JobOutcome,
-    parse_scenario_spec,
     run_grid,
     scenario_result,
 )
 from repro.runner.spec import JobSpec
+from repro.scenario import read_scenario
 
 #: Members per fleet batch.  64 machines keeps every per-tick array in
 #: cache-friendly territory; larger groups split into chunks of this.
@@ -63,7 +63,7 @@ def _fleet_candidate(spec: JobSpec):
     if spec.experiment is not None:
         return None, "experiment specs always run on the pool"
     try:
-        scenario, options = parse_scenario_spec(spec)
+        scenario, options = read_scenario(spec.scenario_data())
     except Exception as exc:
         return None, f"build failed ({_describe(exc)})"
     if options != RunOptions():

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.runner.spec import JobSpec, parse_seeds
-from repro.scenario import converted
+from repro.scenario import converted, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,9 @@ def expand_entry(entry: Mapping[str, Any]) -> GridEntry:
     """Expand one grid entry into its cartesian spec list."""
     if not isinstance(entry, Mapping):
         raise ValueError(f"grid entries must be JSON objects, not {entry!r}")
-    known = {"experiment", "scenario", "seeds", "duration_s", "durations",
-             "overrides", "label"}
-    unknown = set(entry) - known
-    if unknown:
-        raise ValueError(f"unknown grid-entry keys: {sorted(unknown)}")
+    reject_unknown_keys(entry, "grid-entry", (
+        "experiment", "scenario", "seeds", "duration_s", "durations",
+        "overrides", "label"))
     for key in ("scenario", "overrides"):
         if key in entry and not isinstance(entry[key], Mapping):
             raise ValueError(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.core.policyspec import canonical_policy_value
+from repro.scenario import reject_unknown_keys
 
 
 def _canonical_scenario_keys(data: dict[str, Any]) -> dict[str, Any]:
@@ -99,10 +100,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
-        known = {"experiment", "scenario", "duration_s", "seed", "overrides"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown job-spec keys: {sorted(unknown)}")
+        reject_unknown_keys(data, "job-spec", (
+            "experiment", "scenario", "duration_s", "seed", "overrides"))
         return cls(
             experiment=data.get("experiment"),
             scenario=data.get("scenario"),

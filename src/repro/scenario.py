@@ -1,40 +1,50 @@
 """Scenario files: declare an experiment as JSON, run it anywhere.
 
-A scenario file describes machine, workload, policy, and duration:
+A scenario document is one JSON object naming machine, workload,
+policy and duration, such as ``{"machine": {"preset": "ibm_x445",
+"smt": false}, "max_power_per_cpu_w": 60.0, "seed": 7, "workload":
+{"builder": "mixed_table2", "copies": 3}, "policy": "energy",
+"duration_s": 300}``.  The keys each block reads (``workload`` is the
+one required block):
 
-    {
-      "machine": {"preset": "ibm_x445", "smt": false},
-      "max_power_per_cpu_w": 60.0,
-      "seed": 7,
-      "workload": {"builder": "mixed_table2", "copies": 3},
-      "policy": "energy",
-      "duration_s": 300
-    }
+* top level: ``machine``, ``workload``, ``policy`` (a name or
+  ``{"name", "params"}``), ``duration_s``, ``seed``,
+  ``max_power_per_cpu_w``, ``temp_limit_c``, ``thermal``, ``throttle``,
+  ``power``, ``generator`` (a :mod:`repro.scenarios` family generates
+  the base document, the other keys override it) and the
+  :class:`~repro.config.SystemConfig` knobs ``tick_ms``,
+  ``timeslice_ms``, ``balance_interval_ms``, ``idle_balance_interval_ms``,
+  ``hot_check_interval_ms``, ``sample_interval_s``,
+  ``smt_thread_factor`` and ``counter_jitter_sigma``.  ``name`` is a
+  sweep and tournament label that the parser accepts unread.  The run
+  switches ``options`` (``fast_path``, ``validate``, ``obs``) and
+  ``obs`` are read by :func:`read_scenario`, not by
+  :func:`parse_scenario`;
+* ``machine``: ``preset`` ``ibm_x445`` (``smt``), ``smp`` (``n_cpus``)
+  or ``cmp`` (``packages``, ``cores``, ``smt``), or no preset and
+  ``nodes``, ``packages_per_node``, ``cores_per_package``,
+  ``threads_per_core``;
+* ``workload``: ``builder`` ``mixed_table2`` (``copies``),
+  ``steady_mix`` (``copies``, ``wobble_interval_s``), ``single_program``
+  (``program``, ``n``), ``homogeneity`` (``memrw``, ``pushpop``,
+  ``bitcnts``) or ``short_tasks`` (``slots``, ``job_s``); or ``tasks``
+  and ``name``, each task ``program``, ``arrival_s``, ``solo_job_s``,
+  ``respawn``, ``nice``, ``cpus_allowed``, ``power_cap_w``;
+* ``throttle``: ``enabled``, ``scope``, ``mode``; ``power``:
+  ``noise_sigma``; ``thermal`` (one object, or a list of one per
+  package): ``r_k_per_w``, ``c_j_per_k``, ``ambient_c``.
 
-Workload builders: ``mixed_table2`` (copies), ``steady_mix`` (copies,
-wobble_interval_s), ``single_program`` (program, n), ``homogeneity``
-(memrw/pushpop/bitcnts counts), ``short_tasks`` (slots, job_s), or an
-explicit ``tasks`` list of ``{program, arrival_s?, solo_job_s?,
-respawn?, nice?, cpus_allowed?, power_cap_w?}`` objects.
-
-Optional cadence / noise keys (all pass through to
-:class:`~repro.config.SystemConfig`, defaults unchanged when omitted):
-``tick_ms``, ``timeslice_ms``, ``balance_interval_ms``,
-``idle_balance_interval_ms``, ``hot_check_interval_ms``,
-``sample_interval_s``, ``smt_thread_factor``, ``counter_jitter_sigma``,
-and ``power: {"noise_sigma": ...}``.  Fleet-eligible scenarios (see
-:mod:`repro.fleet`) pin ``counter_jitter_sigma`` and ``noise_sigma``
-to 0.
-
-Used by ``python -m repro run-file <scenario.json>`` and directly via
-:func:`load_scenario` / :func:`parse_scenario` and :meth:`Scenario.run`.
+Any other key, like a value of the wrong type or range, is a
+``ValueError`` naming it, so a typo such as ``"duraton_s"`` fails
+instead of running the default.  Fleet-eligible scenarios (see
+:mod:`repro.fleet`) pin ``counter_jitter_sigma`` and ``noise_sigma`` to
+0.  Every command and runner job reads a document through
+:func:`read_scenario`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -98,6 +108,14 @@ def converted(spec: Mapping, key: str, convert, *default):
         raise ValueError(f"bad {key!r} value {value!r} ({exc})") from None
 
 
+def reject_unknown_keys(spec: Mapping, what: str, known) -> None:
+    """Raise ``ValueError`` (``unknown <what> keys: [...]``) when ``spec``
+    holds a key outside ``known``."""
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _optional(spec: Mapping, key: str, convert):
     """:func:`converted` for a setting that ``null`` or absence leaves unset."""
     return None if spec.get(key) is None else converted(spec, key, convert)
@@ -138,13 +156,17 @@ def _block(data: Mapping, key: str, default=None):
     return value
 
 
-def _parse_machine(spec: dict) -> MachineSpec:
+def _parse_machine(spec: Mapping) -> MachineSpec:
     preset = spec.get("preset")
     if preset == "ibm_x445":
+        reject_unknown_keys(spec, "machine", ("preset", "smt"))
         return MachineSpec.ibm_x445(smt=bool(spec.get("smt", True)))
     if preset == "smp":
+        reject_unknown_keys(spec, "machine", ("preset", "n_cpus"))
         return MachineSpec.smp(converted(spec, "n_cpus", int))
     if preset == "cmp":
+        reject_unknown_keys(spec, "machine",
+                            ("preset", "packages", "cores", "smt"))
         return MachineSpec.cmp(
             packages=converted(spec, "packages", int, 2),
             cores=converted(spec, "cores", int, 2),
@@ -152,6 +174,9 @@ def _parse_machine(spec: dict) -> MachineSpec:
         )
     if preset is not None:
         raise ValueError(f"unknown machine preset {preset!r}")
+    reject_unknown_keys(spec, "machine", (
+        "preset", "nodes", "packages_per_node", "cores_per_package",
+        "threads_per_core"))
     return MachineSpec(
         nodes=converted(spec, "nodes", int, 1),
         packages_per_node=converted(spec, "packages_per_node", int, 1),
@@ -174,6 +199,8 @@ def _parse_thermal(spec, n_packages: int):
             f"'thermal' must be a JSON object or a list of objects, "
             f"not {spec!r}"
         )
+    reject_unknown_keys(spec, "thermal",
+                        ("r_k_per_w", "c_j_per_k", "ambient_c"))
     return ThermalParams(
         r_k_per_w=converted(spec, "r_k_per_w", _positive, 0.30),
         c_j_per_k=converted(spec, "c_j_per_k", _positive, 66.7),
@@ -181,9 +208,12 @@ def _parse_thermal(spec, n_packages: int):
     )
 
 
-def _parse_task(entry: dict) -> TaskSpec:
+def _parse_task(entry) -> TaskSpec:
     if not isinstance(entry, Mapping):
         raise ValueError(f"each task must be a JSON object, not {entry!r}")
+    reject_unknown_keys(entry, "task", (
+        "program", "arrival_s", "solo_job_s", "respawn", "nice",
+        "cpus_allowed", "power_cap_w"))
     return TaskSpec(
         program=converted(entry, "program", program),
         arrival_s=converted(entry, "arrival_s", float, 0.0),
@@ -195,8 +225,9 @@ def _parse_task(entry: dict) -> TaskSpec:
     )
 
 
-def _parse_workload(spec: dict) -> WorkloadSpec:
+def _parse_workload(spec: Mapping) -> WorkloadSpec:
     if "tasks" in spec:
+        reject_unknown_keys(spec, "workload", ("tasks", "name"))
         if not isinstance(spec["tasks"], list):
             raise ValueError(
                 f"'tasks' must be a JSON list, not {spec['tasks']!r}"
@@ -205,23 +236,30 @@ def _parse_workload(spec: dict) -> WorkloadSpec:
         return WorkloadSpec(name=spec.get("name", "scenario"), tasks=tasks)
     builder = spec.get("builder")
     if builder == "mixed_table2":
+        reject_unknown_keys(spec, "workload", ("builder", "copies"))
         return mixed_table2_workload(converted(spec, "copies", int, 3))
     if builder == "steady_mix":
+        reject_unknown_keys(spec, "workload",
+                            ("builder", "copies", "wobble_interval_s"))
         return steady_mix_workload(
             converted(spec, "copies", int, 4),
             wobble_interval_s=converted(spec, "wobble_interval_s", float, 10.0),
         )
     if builder == "single_program":
+        reject_unknown_keys(spec, "workload", ("builder", "program", "n"))
         return single_program_workload(
             spec["program"], converted(spec, "n", int, 1)
         )
     if builder == "homogeneity":
+        reject_unknown_keys(spec, "workload",
+                            ("builder", "memrw", "pushpop", "bitcnts"))
         return homogeneity_scenario(
             converted(spec, "memrw", int),
             converted(spec, "pushpop", int),
             converted(spec, "bitcnts", int),
         )
     if builder == "short_tasks":
+        reject_unknown_keys(spec, "workload", ("builder", "slots", "job_s"))
         return short_task_storm(
             total_slots=converted(spec, "slots", int, 18),
             job_s=converted(spec, "job_s", float, 0.6),
@@ -229,7 +267,29 @@ def _parse_workload(spec: dict) -> WorkloadSpec:
     raise ValueError(f"unknown workload builder {builder!r}")
 
 
-def parse_scenario(data: dict) -> Scenario:
+#: The cadence / noise knobs passed to ``SystemConfig`` when present
+#: (an omitted one keeps its default), with their converters.
+_CONFIG_KNOBS = (
+    ("tick_ms", int),
+    ("timeslice_ms", int),
+    ("balance_interval_ms", int),
+    ("idle_balance_interval_ms", int),
+    ("hot_check_interval_ms", int),
+    ("sample_interval_s", _non_negative),
+    ("smt_thread_factor", float),
+    ("counter_jitter_sigma", _non_negative),
+)
+
+#: The top-level keys :func:`parse_scenario` reads, and ``name``, the
+#: display label it accepts without reading.
+_SCENARIO_KEYS = frozenset({
+    "name", "machine", "throttle", "power", "workload", "duration_s",
+    "thermal", "temp_limit_c", "max_power_per_cpu_w", "seed", "policy",
+    *(key for key, _convert in _CONFIG_KNOBS),
+})
+
+
+def parse_scenario(data: Mapping) -> Scenario:
     """Build a runnable scenario from a parsed JSON object.
 
     A dict carrying a top-level ``generator`` key is expanded through
@@ -238,11 +298,11 @@ def parse_scenario(data: dict) -> Scenario:
     dict's remaining keys override it.  The import is lazy because
     ``repro.scenarios`` builds on this module.
 
-    Raises ``ValueError`` when the document or a nested block
-    (``machine``, ``workload`` and its tasks, ``throttle``, ``power``,
-    ``thermal``, ``generator``) is not an object, and, naming the key,
-    when a value has the wrong type or range (``duration_s`` must be a
-    positive finite number, ``copies`` an integer, and so on).
+    Raises ``ValueError`` when the document or a nested block is not an
+    object, and, naming the key, when a block holds a key it does not
+    read (the run switches included) or a value has the wrong type or
+    range (``duration_s`` must be a positive finite number, ``copies``
+    an integer, and so on).
     """
     if not isinstance(data, Mapping):
         raise ValueError(
@@ -252,11 +312,10 @@ def parse_scenario(data: dict) -> Scenario:
         from repro.scenarios import expand_generated
 
         data = expand_generated(data)
+    reject_unknown_keys(data, "scenario", _SCENARIO_KEYS)
     machine_spec = _block(data, "machine", {"preset": "ibm_x445"})
     throttle_spec = _block(data, "throttle", {})
-    power_spec = data.get("power")
-    if power_spec is not None:
-        power_spec = _block(data, "power")
+    reject_unknown_keys(throttle_spec, "throttle", ("enabled", "scope", "mode"))
     if "workload" not in data:
         raise ValueError("a scenario needs a 'workload' object")
     workload_spec = _block(data, "workload")
@@ -267,25 +326,13 @@ def parse_scenario(data: dict) -> Scenario:
         scope=throttle_spec.get("scope", "logical"),
         mode=throttle_spec.get("mode", "hlt"),
     )
-    kwargs = {}
-    # Cadence / noise knobs pass straight through to SystemConfig when
-    # present; omitted keys keep the dataclass defaults (so existing
-    # scenario files parse to the exact same config as before).  The
-    # fleet engine's eligibility rules read these — a fleet-ready
-    # scenario pins noise_sigma and counter_jitter_sigma to 0.
-    for key, conv in (
-        ("tick_ms", int),
-        ("timeslice_ms", int),
-        ("balance_interval_ms", int),
-        ("idle_balance_interval_ms", int),
-        ("hot_check_interval_ms", int),
-        ("sample_interval_s", _non_negative),
-        ("smt_thread_factor", float),
-        ("counter_jitter_sigma", _non_negative),
-    ):
-        if key in data:
-            kwargs[key] = converted(data, key, conv)
-    if power_spec is not None:
+    kwargs = {
+        key: converted(data, key, convert)
+        for key, convert in _CONFIG_KNOBS if key in data
+    }
+    if data.get("power") is not None:
+        power_spec = _block(data, "power")
+        reject_unknown_keys(power_spec, "power", ("noise_sigma",))
         kwargs["power"] = PowerModelParams(
             noise_sigma=converted(power_spec, "noise_sigma", _non_negative, 0.015),
         )
@@ -316,7 +363,39 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | pathlib.Path) -> Scenario:
-    """Parse a scenario JSON file."""
-    text = pathlib.Path(path).read_text()
-    return parse_scenario(json.loads(text))
+def read_run_options(data: dict) -> RunOptions:
+    """Pop a document's run switches off ``data``.
+
+    Two keys carry them: the ``"options"`` object (``fast_path``,
+    ``validate``, ``obs``; a ``null`` keeps the default, and any other
+    key raises ``ValueError``) and the top-level ``"obs"``, which turns
+    the observer on as ``options.obs`` does.  Returns the
+    :class:`~repro.api.RunOptions` they spell; JSON holds only plain
+    values, so each switch is read as a bool.
+    """
+    given = data.pop("options", None) or {}
+    if not isinstance(given, dict):
+        raise ValueError(f"'options' must be an object, not {given!r}")
+    reject_unknown_keys(given, "scenario option",
+                        ("fast_path", "validate", "obs"))
+    switches = {
+        key: bool(value) for key, value in given.items() if value is not None
+    }
+    if data.pop("obs", False):
+        switches["obs"] = True
+    return RunOptions(**switches)
+
+
+def read_scenario(data: Mapping) -> tuple[Scenario, RunOptions]:
+    """Read a scenario document, a parsed JSON object: ``(scenario, run
+    switches)``.
+
+    :func:`read_run_options` takes the switches off a copy of ``data``
+    and :func:`parse_scenario` parses the rest; a document that cannot
+    build raises ``ValueError`` (or ``KeyError``).
+    """
+    rest = dict(data)
+    options = read_run_options(rest)
+    # Looked up as a module global at call time, so a wrapper installed
+    # on ``repro.scenario.parse_scenario`` sees every document read.
+    return parse_scenario(rest), options

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
+from repro.scenario import reject_unknown_keys
 from repro.workloads.programs import PROGRAMS
 
 #: Machine shorthand accepted by every family's ``machine`` parameter —
@@ -263,9 +264,7 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "GeneratorSpec":
-        unknown = set(data) - {"family", "params", "seed"}
-        if unknown:
-            raise ValueError(f"unknown generator keys: {sorted(unknown)}")
+        reject_unknown_keys(data, "generator", ("family", "params", "seed"))
         if "family" not in data:
             raise ValueError("generator spec needs a 'family' key")
         return cls(

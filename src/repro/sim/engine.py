@@ -41,17 +41,12 @@ class Engine:
         self.clock = clock
         self.tracer = tracer if tracer is not None else Tracer()
         self._components: list[TickComponent] = []
-        self._stop_requested = False
 
     def register(self, component: TickComponent) -> None:
         """Append ``component`` to the per-tick call order."""
         if not isinstance(component, TickComponent):
             raise TypeError(f"{component!r} does not implement tick(clock)")
         self._components.append(component)
-
-    def request_stop(self) -> None:
-        """Ask the engine to stop after the current tick completes."""
-        self._stop_requested = True
 
     def run_for(self, seconds: float) -> None:
         """Run the simulation for ``seconds`` of simulated time."""
@@ -74,18 +69,15 @@ class Engine:
             self.run_ticks(remaining)
 
     def run_ticks(self, n_ticks: int) -> None:
-        """Run exactly ``n_ticks`` ticks (or fewer if a stop is requested)."""
+        """Run exactly ``n_ticks`` ticks."""
         if n_ticks < 0:
             raise ValueError(f"n_ticks must be non-negative, got {n_ticks}")
-        self._stop_requested = False
         clock = self.clock
         components = self._components
         for _ in range(n_ticks):
             clock.advance()
             for component in components:
                 component.tick(clock)
-            if self._stop_requested:
-                break
 
     def __repr__(self) -> str:
         return f"Engine(t={self.clock.now_s:.2f}s, components={len(self._components)})"

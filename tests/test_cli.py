@@ -102,7 +102,7 @@ class TestCli:
     def test_shipped_scenario_files_parse(self):
         import pathlib
 
-        from repro.scenario import load_scenario
+        from repro.scenario import read_scenario
 
         scenario_dir = (
             pathlib.Path(__file__).parent.parent / "examples" / "scenarios"
@@ -110,7 +110,7 @@ class TestCli:
         files = sorted(scenario_dir.glob("*.json"))
         assert len(files) >= 3
         for path in files:
-            scenario = load_scenario(path)
+            scenario, _options = read_scenario(json.loads(path.read_text()))
             assert scenario.duration_s > 0
 
 

@@ -6,7 +6,9 @@ valid scenario and one valid grid (drop a key; replace a value with
 ``Infinity``; wrap the whole document in a list) and runs each mutant
 in-process through :func:`repro.cli.main`.  Every case must exit 0 or 2,
 and exit 2 must print exactly one ``repro: error:`` line on stderr and
-no traceback.  Runs are kept short: a 2-CPU machine, and ``--duration
+no traceback.  One mutation must fail: a key added to the document or to
+any block the parser reads exits exactly 2, naming the key, under every
+subcommand.  Runs are kept short: a 2-CPU machine, and ``--duration
 0.2`` wherever the subcommand takes it (``run-file`` and ``batch`` read
 the document's own 0.2 s).
 """
@@ -20,6 +22,7 @@ import json
 import math
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -259,3 +262,48 @@ def test_scenario_mutants_exit_cleanly(case):
 @example(case=(BATCH, _experiment_entry(duration_s=math.inf)))
 def test_grid_mutants_exit_cleanly(case):
     _check(case)
+
+
+#: The paths of every object block the scenario parser reads: the
+#: gate's scenario (presetless task list, every optional block) and the
+#: grid's (workload builder, cmp preset).
+UNKNOWN_KEY_BLOCKS = [
+    ("scenario", ()),
+    ("scenario", ("machine",)),
+    ("scenario", ("workload",)),
+    ("scenario", ("workload", "tasks", 0)),
+    ("scenario", ("workload", "tasks", 1)),
+    ("scenario", ("throttle",)),
+    ("scenario", ("power",)),
+    ("scenario", ("thermal",)),
+    ("grid", ("machine",)),
+    ("grid", ("workload",)),
+]
+
+
+def _with_unknown_key(document, path):
+    new = copy.deepcopy(document)
+    block = new
+    for key in path:
+        block = block[key]
+    block["not_a_key"] = 1
+    return new
+
+
+@pytest.mark.parametrize("command", [RUN_FILE, SWEEP, TRACE, EXPLAIN, BATCH],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("source,path", UNKNOWN_KEY_BLOCKS,
+                         ids=lambda value: "/".join(map(str, value))
+                         if isinstance(value, tuple) else value)
+def test_unknown_key_is_one_usage_error(command, source, path):
+    base = SCENARIO if source == "scenario" else GRID["jobs"][0]["scenario"]
+    document = _with_unknown_key(base, path)
+    if command is BATCH:
+        document = {"jobs": [{"scenario": document, "seeds": [1]}]}
+    code, err = _run(command, document)
+    assert "Traceback" not in err, err
+    assert code == 2, err
+    errors = [line for line in err.splitlines()
+              if line.startswith("repro: error:")]
+    assert len(errors) == 1, err
+    assert "not_a_key" in errors[0]

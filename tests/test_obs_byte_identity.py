@@ -145,37 +145,3 @@ class TestFleetEngineChunkedTicks:
         for a, b in zip(plain.results(0.5), observed.results(0.5)):
             assert a.scalar_summary() == b.scalar_summary()
         assert any(e.kind == "fleet_tick_progress" for e in ring.events())
-
-
-class TestCheckpointBusNeutral:
-    def test_checkpointed_run_identical_with_bus(self, tmp_path):
-        from repro.obs.events import EventBus, RingBufferSink
-        from repro.resilience import run_simulation_checkpointed
-        from repro.scenario import parse_scenario
-
-        scenario = parse_scenario({
-            "name": "cp-probe",
-            "machine": {"preset": "cmp", "packages": 1, "cores": 2,
-                        "smt": False},
-            "workload": {"builder": "steady_mix", "copies": 1},
-            "policy": "energy",
-            "duration_s": 0.4,
-        })
-
-        def run(bus, tag):
-            return run_simulation_checkpointed(
-                scenario.config, scenario.workload,
-                checkpoint_path=tmp_path / f"cp-{tag}",
-                policy=scenario.policy, duration_s=0.4,
-                checkpoint_every_s=0.1, bus=bus,
-            )
-
-        plain = run(None, "off")
-        bus = EventBus()
-        ring = RingBufferSink(64)
-        bus.subscribe(ring)
-        live = run(bus, "on")
-        assert live.scalar_summary() == plain.scalar_summary()
-        written = [e for e in ring.events()
-                   if e.kind == "checkpoint_written"]
-        assert len(written) == 4

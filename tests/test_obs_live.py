@@ -71,12 +71,10 @@ class TestLiveAggregator:
         agg(_event("pool_rebuild", workers=4))
         agg(_event("worker_backoff", index=1, attempt=1, delay_s=0.1,
                    error="x"))
-        agg(_event("checkpoint_written", path="cp", ticks=100))
         snap = agg.snapshot()
         assert snap["worker_deaths"] == 1
         assert snap["pool_rebuilds"] == 1
         assert snap["worker_backoffs"] == 1
-        assert snap["checkpoints"] == 1
 
     def test_fleet_tick_progress_accumulates_machine_ticks(self):
         agg = LiveAggregator()

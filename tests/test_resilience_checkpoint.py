@@ -6,13 +6,14 @@ mid-duration and resumed yields a `scalar_summary()` and event trace
 byte-identical to the uninterrupted run.
 """
 
+import dataclasses
 import json
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.api import run_simulation
+from repro.api import RunOptions, run_simulation
 from repro.resilience import (
     CheckpointError,
     load_checkpoint,
@@ -78,10 +79,9 @@ class TestBitIdentity:
         )
         written = []
         resumed = run_simulation_checkpointed(
-            scenario.config, scenario.workload,
-            checkpoint_path=tmp_path / "ck.bin",
-            policy=scenario.policy, duration_s=DURATION_S,
-            checkpoint_every_s=SPLIT_S, obs=True,
+            dataclasses.replace(scenario, duration_s=DURATION_S),
+            tmp_path / "ck.bin", options=RunOptions(obs=True),
+            checkpoint_every_s=SPLIT_S,
             on_checkpoint=lambda path, ticks: written.append(ticks),
         )
         assert len(written) == 2  # at 3s and 6s
@@ -90,6 +90,32 @@ class TestBitIdentity:
         # Observer state survives too: same audit records, same counts.
         assert len(resumed.audit) == len(reference.audit)
         assert resumed.audit.sites_seen() == reference.audit.sites_seen()
+        assert ([r.to_dict() for r in resumed.audit.query()]
+                == [r.to_dict() for r in reference.audit.query()])
+
+    @pytest.mark.parametrize("fast_path", [True, False],
+                             ids=["fast", "scalar"])
+    def test_killed_checkpointed_run_resumes_identically(self, tmp_path,
+                                                         fast_path):
+        scenario = dataclasses.replace(_pinned("throttle-hlt"),
+                                       duration_s=DURATION_S)
+        options = RunOptions(fast_path=fast_path, obs=True)
+        reference = scenario.run(options)
+
+        class Killed(Exception):
+            pass
+
+        def kill(path, ticks):
+            raise Killed
+
+        path = tmp_path / "ck.bin"
+        with pytest.raises(Killed):
+            run_simulation_checkpointed(scenario, path, options=options,
+                                        checkpoint_every_s=SPLIT_S,
+                                        on_checkpoint=kill)
+        resumed = resume_simulation(path)
+        assert resumed.scalar_summary() == reference.scalar_summary()
+        assert _events(resumed) == _events(reference)
         assert ([r.to_dict() for r in resumed.audit.query()]
                 == [r.to_dict() for r in reference.audit.query()])
 

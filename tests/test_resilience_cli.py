@@ -120,6 +120,25 @@ class TestSweepJournalCli:
         second = capsys.readouterr()
         assert second.out == first.out
 
+    def test_batch_resume_without_the_grid_file(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"jobs": [
+            {"experiment": "fig9", "seeds": "1..2", "duration_s": 3,
+             "label": "tour"},
+            {"scenario": SCENARIO, "seeds": [1], "duration_s": 1,
+             "label": "mixed"},
+        ]}))
+        journal = tmp_path / "b.jsonl"
+        assert main(["batch", str(grid), "--no-cache",
+                     "--journal", str(journal)]) == 0
+        first = capsys.readouterr()
+        assert "tour: 2 jobs" in first.out and "mixed: 1 jobs" in first.out
+        # The journal meta, not the grid file, holds the entry layout.
+        grid.unlink()
+        assert main(["batch", "--resume", str(journal), "--no-cache"]) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+
 
 class TestCheckpointCli:
     # Every policy spelling a scenario file accepts must checkpoint: a

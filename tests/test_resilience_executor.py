@@ -277,15 +277,13 @@ class TestMetricsExport:
         from repro.runner.cache import CacheStats
 
         cache_stats = CacheStats(hits=3, misses=2, stores=2, corrupt=1)
-        registry = runner_metrics_registry(stats, cache_stats,
-                                           checkpoints=4)
+        registry = runner_metrics_registry(stats, cache_stats)
         text = prometheus_text(registry)
         assert "repro_runner_retries_total 2" in text
         assert "repro_runner_worker_crashes_total 1" in text
         assert "repro_runner_quarantined_total 1" in text
         assert "repro_runner_interrupted 1" in text
         assert "repro_runner_cache_corrupt_total 1" in text
-        assert "repro_checkpoints_written_total 4" in text
 
     def test_stats_describe_and_dict_round_trip(self):
         stats = ExecutorStats()

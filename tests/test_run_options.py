@@ -10,8 +10,7 @@ import pytest
 from repro.api import RunOptions, run_simulation
 from repro.config import SystemConfig
 from repro.cpu.topology import MachineSpec
-from repro.runner.executor import read_run_options
-from repro.scenario import Scenario, parse_scenario
+from repro.scenario import Scenario, parse_scenario, read_run_options
 from repro.system import System
 from repro.workloads.generator import mixed_table2_workload
 
@@ -49,6 +48,17 @@ class TestSignatures:
 
     def test_system_has_no_tracer_parameter(self):
         assert "tracer" not in inspect.signature(System).parameters
+
+    def test_checkpointed_run_takes_a_scenario_and_options(self):
+        from repro.resilience import run_simulation_checkpointed
+
+        params = inspect.signature(run_simulation_checkpointed).parameters
+        assert list(params) == ["scenario", "checkpoint_path", "options",
+                                "checkpoint_every_s", "on_checkpoint"]
+        assert [p.name for p in params.values()
+                if p.kind is p.KEYWORD_ONLY] == [
+            "options", "checkpoint_every_s", "on_checkpoint"]
+        assert params["options"].default == RunOptions()
 
 
 class TestRunSimulation:
@@ -116,6 +126,64 @@ class TestReadRunOptions:
             main(["batch", str(grid), "--no-cache"])
         assert exc.value.code == 2
         assert "turbo" in capsys.readouterr().err
+
+
+#: A scenario file that spells all three switches off their defaults.
+SWITCHED_FILE = {
+    "machine": {"preset": "smp", "n_cpus": 2},
+    "workload": {"builder": "mixed_table2", "copies": 1},
+    "duration_s": 0.5,
+    "options": {"validate": True, "fast_path": False},
+    "obs": True,
+}
+
+
+class TestFileSwitches:
+    """Every command that runs a scenario file runs it with the file's
+    switches; ``run-file --validate`` and the observer ``trace`` and
+    ``explain`` need are OR-ed onto them."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+        run = Scenario.run
+
+        def recording_run(self, options=RunOptions()):
+            seen.append(options)
+            return run(self, options)
+
+        monkeypatch.setattr(Scenario, "run", recording_run)
+        return seen
+
+    @pytest.mark.parametrize("command", [
+        ["run-file"],
+        ["trace", "--format", "metrics", "--file"],
+        ["explain", "--file"],
+    ], ids=["run-file", "trace", "explain"])
+    def test_file_switches_reach_the_run(self, command, seen, tmp_path,
+                                         capsys):
+        from repro.cli import main
+
+        path = tmp_path / "switched.json"
+        path.write_text(json.dumps(SWITCHED_FILE))
+        assert main([*command, str(path)]) == 0
+        assert seen == [RunOptions(fast_path=False, validate=True, obs=True)]
+
+    @pytest.mark.parametrize("command, expected", [
+        (["run-file", "--validate"], RunOptions(validate=True)),
+        (["trace", "--format", "metrics", "--file"], RunOptions(obs=True)),
+        (["explain", "--file"], RunOptions(obs=True)),
+    ], ids=["run-file", "trace", "explain"])
+    def test_command_switches_join_a_plain_file(self, command, expected,
+                                                seen, tmp_path, capsys):
+        from repro.cli import main
+
+        plain = {key: value for key, value in SWITCHED_FILE.items()
+                 if key not in ("options", "obs")}
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(plain))
+        assert main([*command, str(path)]) == 0
+        assert seen == [expected]
 
 
 class TestRunnerSpecs:

@@ -1,10 +1,18 @@
 """Unit tests for JSON scenario parsing and the run-file CLI path."""
 
+import dataclasses
 import json
+import pathlib
 
 import pytest
 
-from repro.scenario import Scenario, load_scenario, parse_scenario
+from repro.api import RunOptions
+from repro.scenario import Scenario, parse_scenario, read_scenario
+
+EXAMPLES = sorted(
+    (pathlib.Path(__file__).parent.parent / "examples" / "scenarios")
+    .glob("*.json")
+)
 
 
 BASE = {
@@ -116,10 +124,13 @@ class TestRunning:
         assert result.fractional_jobs() > 0
 
     def test_load_from_file(self, tmp_path):
+        from repro.cli import _load_scenario_file, build_parser
+
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(BASE))
-        scenario = load_scenario(path)
+        path.write_text(json.dumps({**BASE, "obs": True}))
+        scenario, options = _load_scenario_file(build_parser(), path)
         assert scenario.duration_s == 5
+        assert options == RunOptions(obs=True)
 
     def test_cli_run_file(self, tmp_path, capsys):
         from repro.cli import main
@@ -316,3 +327,96 @@ class TestCadenceAndNoiseKnobs:
         assert all(
             t.program.wobble_interval_s == 20.0 for t in scenario.workload.tasks
         )
+
+
+class TestStrictKeys:
+    """A key no block reads is an error naming it, not a silent default."""
+
+    def test_misspelt_duration_is_rejected(self):
+        with pytest.raises(ValueError, match="duraton_s"):
+            parse_scenario({**BASE, "duraton_s": 10})
+
+    @pytest.mark.parametrize("block,value,message", [
+        ("machine", {"preset": "smp", "n_cpus": 2, "smt": True},
+         "unknown machine keys: ['smt']"),
+        ("machine", {"preset": "ibm_x445", "n_cpus": 8},
+         "unknown machine keys: ['n_cpus']"),
+        ("machine", {"preset": "cmp", "n_cpus": 4},
+         "unknown machine keys: ['n_cpus']"),
+        ("machine", {"nodes": 1, "n_cpus": 2},
+         "unknown machine keys: ['n_cpus']"),
+        ("workload", {"builder": "mixed_table2", "copies": 1, "n": 2},
+         "unknown workload keys: ['n']"),
+        ("workload", {"tasks": [{"program": "memrw"}], "copies": 1},
+         "unknown workload keys: ['copies']"),
+        ("workload", {"tasks": [{"program": "memrw", "cpu": 1}]},
+         "unknown task keys: ['cpu']"),
+        ("throttle", {"enabled": True, "level": 2},
+         "unknown throttle keys: ['level']"),
+        ("power", {"noise_sigma": 0.0, "noise": 0.0},
+         "unknown power keys: ['noise']"),
+        ("thermal", {"r_k_per_w": 0.3, "ambient": 20.0},
+         "unknown thermal keys: ['ambient']"),
+        ("thermal", [{"r_k_per_w": 0.3}, {"ambient": 20.0}],
+         "unknown thermal keys: ['ambient']"),
+    ])
+    def test_each_block_names_its_unknown_key(self, block, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            parse_scenario({**BASE, block: value})
+        assert str(excinfo.value) == message
+
+    def test_generated_document_keeps_the_rule(self):
+        with pytest.raises(ValueError, match="unknown scenario keys"):
+            parse_scenario({"generator": {"family": "poisson"}, "bogus": 1})
+
+    def test_name_is_accepted_unread(self):
+        scenario = parse_scenario({**BASE, "name": "label"})
+        assert scenario == parse_scenario(BASE)
+
+    @pytest.mark.parametrize("switch", [{"obs": True},
+                                        {"options": {"validate": True}}])
+    def test_switches_are_read_scenario_keys(self, switch):
+        with pytest.raises(ValueError, match="unknown scenario keys"):
+            parse_scenario({**BASE, **switch})
+        scenario, options = read_scenario({**BASE, **switch})
+        assert scenario == parse_scenario(BASE)
+        assert options != RunOptions()
+
+    def test_read_scenario_leaves_its_argument_alone(self):
+        document = {**BASE, "obs": True, "options": {"fast_path": False}}
+        before = json.dumps(document, sort_keys=True)
+        read_scenario(document)
+        assert json.dumps(document, sort_keys=True) == before
+
+    def test_one_helper_keeps_every_message(self):
+        from repro.runner.grid import expand_entry
+        from repro.runner.spec import JobSpec
+        from repro.scenario import read_run_options
+        from repro.scenarios import GeneratorSpec
+
+        for call, message in [
+            (lambda: JobSpec.from_dict({"bogus": 1}),
+             "unknown job-spec keys: ['bogus']"),
+            (lambda: expand_entry({"experiment": "fig9", "bogus": 1}),
+             "unknown grid-entry keys: ['bogus']"),
+            (lambda: GeneratorSpec.from_dict({"family": "poisson",
+                                              "bogus": 1}),
+             "unknown generator keys: ['bogus']"),
+            (lambda: read_run_options({"options": {"bogus": 1}}),
+             "unknown scenario option keys: ['bogus']"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+
+class TestShippedExamples:
+    """Every ``examples/scenarios`` file reads and runs (test_cli checks
+    that the files are there)."""
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+    def test_example_runs_for_one_second(self, path):
+        scenario, options = read_scenario(json.loads(path.read_text()))
+        result = dataclasses.replace(scenario, duration_s=1.0).run(options)
+        assert result.duration_s == 1.0
+        assert result.scalar_summary()["average_utilization"] > 0

@@ -65,28 +65,6 @@ class TestEngineBasics:
         assert clock.ticks == 5
 
 
-class TestEngineStop:
-    def test_stop_request_halts_after_current_tick(self):
-        clock = Clock(tick_ms=10)
-        engine = Engine(clock)
-
-        class Stopper:
-            def tick(self, clk):
-                if clk.ticks == 3:
-                    engine.request_stop()
-
-        engine.register(Stopper())
-        engine.run_ticks(100)
-        assert clock.ticks == 3
-
-    def test_stop_flag_cleared_on_next_run(self):
-        clock = Clock(tick_ms=10)
-        engine = Engine(clock)
-        engine.request_stop()
-        engine.run_ticks(2)
-        assert clock.ticks == 2
-
-
 class TestEngineValidation:
     def test_rejects_component_without_tick(self):
         engine = Engine(Clock())

@@ -21,7 +21,6 @@ from repro.obs.chrome_trace import (
 from repro.obs.events import (
     EVENT_KINDS,
     RUN_EVENT_SCHEMA,
-    CallbackSink,
     EventBus,
     JsonlSink,
     RingBufferSink,
@@ -34,7 +33,6 @@ from repro.obs.exporters import (
     PROMETHEUS_CONTENT_TYPE,
     json_snapshot,
     prometheus_text,
-    runner_metrics_registry,
 )
 from repro.obs.metrics import (
     Counter,
@@ -56,7 +54,6 @@ __all__ = [
     "migration_flow_events",
     "EVENT_KINDS",
     "RUN_EVENT_SCHEMA",
-    "CallbackSink",
     "EventBus",
     "JsonlSink",
     "RingBufferSink",
@@ -67,7 +64,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "json_snapshot",
     "prometheus_text",
-    "runner_metrics_registry",
     "Counter",
     "Gauge",
     "Histogram",

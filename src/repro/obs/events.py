@@ -15,7 +15,7 @@ Events fan out through an :class:`EventBus` to pluggable sinks:
   is current even if the driver dies mid-sweep;
 * :class:`RingBufferSink` — a bounded in-memory window of the latest
   events (what the live ``/events`` endpoint serves);
-* :class:`CallbackSink` — an arbitrary callable (how the live metrics
+* any callable taking a :class:`RunEvent` (how the live metrics
   aggregator subscribes).
 
 The bus preserves the repo's bit-identity contract: no bus is created
@@ -234,21 +234,6 @@ class RingBufferSink:
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
-
-
-class CallbackSink:
-    """Adapter wrapping any callable as a sink (mostly documentation:
-    a bare callable works too — this names the intent and carries a
-    repr for debugging)."""
-
-    def __init__(self, fn: Callable[[RunEvent], None]) -> None:
-        self.fn = fn
-
-    def __call__(self, event: RunEvent) -> None:
-        self.fn(event)
-
-    def __repr__(self) -> str:
-        return f"CallbackSink({self.fn!r})"
 
 
 def count_by_kind(events: Iterable[RunEvent]) -> dict[str, int]:

@@ -4,7 +4,7 @@ The simulator is deterministic, so every long computation here is
 restartable from recorded state instead of from scratch:
 
 * :mod:`repro.resilience.checkpoint` — whole-machine simulation
-  checkpoints (``System.snapshot()``/``System.restore()``) with a
+  checkpoints (``snapshot(system)``/``restore(snapshot)``) with a
   versioned, atomically-written on-disk format; a run checkpointed at
   tick T and resumed is bit-identical to the uninterrupted run.
 * :mod:`repro.resilience.journal` — append-only, fsynced journal of

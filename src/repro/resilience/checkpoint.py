@@ -1,11 +1,15 @@
 """Simulation checkpoints: stop a run at tick T, finish it later.
 
+This module is the one home of the checkpoint format: :func:`snapshot`
+and :func:`restore` convert a :class:`~repro.system.System` to and from
+the in-memory form, and the file functions below read and write it.
 On-disk format (``repro-checkpoint/1``): one JSON header line —
 schema/version, tick position, policy, the planned duration, and the
 code salt the snapshot was taken under — followed by the pickled
-machine.  Writes are atomic (tmp file + fsync + ``os.replace``), so a
-checkpoint file is either the previous complete snapshot or the new
-one, never a torn mix.
+machine.  The schema is checked once, by :func:`read_checkpoint`.
+Writes are atomic (tmp file + fsync + ``os.replace``), so a checkpoint
+file is either the previous complete snapshot or the new one, never a
+torn mix.
 
 Version policy: the schema version bumps on any incompatible change to
 the header layout or payload semantics, and loaders reject versions
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pickle
 from typing import Callable
 
 from repro.api import RunOptions, SimulationResult
@@ -35,15 +40,50 @@ from repro.runner.cache import code_salt
 from repro.scenario import Scenario
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
-from repro.system import CHECKPOINT_SCHEMA, CHECKPOINT_VERSION, System
+from repro.system import System
+
+#: Checkpoint format identity.  The schema string names the container
+#: layout (header fields + pickled machine payload); the version bumps
+#: whenever either changes incompatibly.  Loaders reject anything else.
+CHECKPOINT_SCHEMA = "repro-checkpoint"
+CHECKPOINT_VERSION = 1
+_SCHEMA = f"{CHECKPOINT_SCHEMA}/{CHECKPOINT_VERSION}"
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt, or not loadable here."""
 
 
-def _expected_schema() -> str:
-    return f"{CHECKPOINT_SCHEMA}/{CHECKPOINT_VERSION}"
+def snapshot(system: System) -> dict:
+    """A versioned, self-contained checkpoint of the machine.
+
+    The returned dict is the in-memory checkpoint format: identifying
+    header fields plus the pickled machine as the ``payload``.
+    :func:`save_checkpoint` writes it to disk atomically and
+    :func:`restore` rebuilds the system.  Snapshotting reads state only
+    — taking one mid-run does not perturb the run.
+    """
+    return {
+        "schema": _SCHEMA,
+        "version": CHECKPOINT_VERSION,
+        "tick_ms": system.config.tick_ms,
+        "now_ms": system._now_ms,
+        "ticks": system._now_ms // system.config.tick_ms,
+        "policy": system.policy_name,
+        "fast_path": system.fast_path,
+        "payload": pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL),
+    }
+
+
+def restore(snapshot: dict) -> System:
+    """Rebuild a machine from a :func:`snapshot` dict (its schema is
+    checked where a file is read, by :func:`read_checkpoint`)."""
+    system = pickle.loads(snapshot["payload"])
+    if not isinstance(system, System):
+        raise CheckpointError(
+            f"checkpoint payload is {type(system).__name__}, not a System"
+        )
+    return system
 
 
 def save_checkpoint(
@@ -51,15 +91,14 @@ def save_checkpoint(
     system: System,
     duration_s: float | None = None,
 ) -> pathlib.Path:
-    """Write ``system.snapshot()`` to ``path`` atomically.
+    """Write :func:`snapshot` of ``system`` to ``path`` atomically.
 
     ``duration_s`` records the run's planned total duration so
     :func:`resume_simulation` can finish the run without being told how
     long it was meant to be.
     """
-    snapshot = system.snapshot()
-    payload = snapshot.pop("payload")
-    header = dict(snapshot)
+    header = snapshot(system)
+    payload = header.pop("payload")
     header["code_salt"] = code_salt()
     if duration_s is not None:
         if duration_s <= 0:
@@ -79,7 +118,7 @@ def save_checkpoint(
 
 def read_checkpoint(path: str | pathlib.Path) -> dict:
     """Parse a checkpoint file into a snapshot dict (payload unpickled
-    lazily by :meth:`System.restore`).
+    lazily by :func:`restore`).
 
     Raises :class:`CheckpointError` on missing files, corrupt or
     truncated headers, unsupported schema versions, and empty payloads.
@@ -99,16 +138,15 @@ def read_checkpoint(path: str | pathlib.Path) -> dict:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path} has a corrupt header: not an object")
     schema = header.get("schema")
-    if schema != _expected_schema():
+    if schema != _SCHEMA:
         raise CheckpointError(
             f"{path} has checkpoint schema {schema!r}; this build reads "
-            f"{_expected_schema()!r}"
+            f"{_SCHEMA!r}"
         )
-    snapshot = dict(header)
-    snapshot["payload"] = raw[newline + 1:]
-    if not snapshot["payload"]:
+    payload = raw[newline + 1:]
+    if not payload:
         raise CheckpointError(f"{path} is truncated (empty payload)")
-    return snapshot
+    return dict(header, payload=payload)
 
 
 def load_checkpoint(
@@ -121,8 +159,8 @@ def load_checkpoint(
     payload pickles internal classes, so loading it across code changes
     can fail in arbitrary ways or, worse, silently diverge.
     """
-    snapshot = read_checkpoint(path)
-    salt = snapshot.get("code_salt")
+    header = read_checkpoint(path)
+    salt = header.get("code_salt")
     if not allow_stale and salt is not None and salt != code_salt():
         raise CheckpointError(
             f"checkpoint {path} was written by a different code version "
@@ -130,14 +168,14 @@ def load_checkpoint(
             "pass allow_stale=True / --allow-stale to load it anyway"
         )
     try:
-        system = System.restore(snapshot)
+        system = restore(header)
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(
             f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
-    return system, snapshot
+    return system, header
 
 
 def resume_simulation(
@@ -152,9 +190,9 @@ def resume_simulation(
     ``duration_s``).  A checkpoint taken at or past the target duration
     simply yields its result without running further ticks.
     """
-    system, snapshot = load_checkpoint(path, allow_stale=allow_stale)
+    system, header = load_checkpoint(path, allow_stale=allow_stale)
     if duration_s is None:
-        duration_s = snapshot.get("duration_s")
+        duration_s = header.get("duration_s")
         if duration_s is None:
             raise CheckpointError(
                 f"checkpoint {path} does not record a planned duration; "
@@ -163,7 +201,7 @@ def resume_simulation(
     duration_s = float(duration_s)
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    clock = Clock.at(int(snapshot["tick_ms"]), int(snapshot["ticks"]))
+    clock = Clock.at(int(header["tick_ms"]), int(header["ticks"]))
     engine = Engine(clock, system.tracer)
     engine.register(system)
     engine.run_until_tick(clock.ticks_for_ms(duration_s * 1000.0))

@@ -174,8 +174,6 @@ def run_grid(
     progress: ProgressFn | None = None,
     journal=None,
     stop_event=None,
-    backoff_base_s: float = 0.05,
-    backoff_cap_s: float = 2.0,
     quarantine_dir: str | pathlib.Path | None = None,
     bus=None,
     engine: str = "pool",
@@ -272,8 +270,6 @@ def run_grid(
         config = SupervisorConfig(
             timeout_s=timeout_s,
             retries=retries,
-            backoff_base_s=backoff_base_s,
-            backoff_cap_s=backoff_cap_s,
             quarantine_dir=(
                 pathlib.Path(quarantine_dir) if quarantine_dir is not None else None
             ),

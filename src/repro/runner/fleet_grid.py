@@ -16,7 +16,7 @@ ragged remainders that are not worth a batch — is left to
 Results are byte-identical to the pool path: a fleet member is the same
 :class:`~repro.system.System` built the same way ``execute_spec``
 builds it, the engines are differentially tested against each other
-(``repro.validate.fleet``, tests/test_fleet_equivalence.py), and the
+(``repro.validate.fleet_lockstep``, tests/test_fleet_equivalence.py), and the
 result dict is assembled by the same export calls.  Cache entries and
 journal records are therefore interchangeable between engines — a sweep
 can resume under ``--engine fleet`` what it started under ``pool`` and

@@ -97,6 +97,7 @@ def expand_entry(entry: Mapping[str, Any]) -> GridEntry:
 def expand_grid(data: Any) -> list[GridEntry]:
     """Expand a parsed grid file into its entries."""
     if isinstance(data, Mapping):
+        reject_unknown_keys(data, "grid", ("jobs",))
         data = data.get("jobs")
     if not isinstance(data, list) or not data:
         raise ValueError(

@@ -108,6 +108,18 @@ def converted(spec: Mapping, key: str, convert, *default):
         raise ValueError(f"bad {key!r} value {value!r} ({exc})") from None
 
 
+def _flag(spec: Mapping, key: str, default: bool) -> bool:
+    """``spec[key]`` as a switch: ``true`` or ``false``, with ``default``
+    when the key is absent or ``null``.  Any other value raises
+    ``ValueError`` naming the key."""
+    value = spec.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ValueError(f"bad {key!r} value {value!r} (must be true or false)")
+    return value
+
+
 def reject_unknown_keys(spec: Mapping, what: str, known) -> None:
     """Raise ``ValueError`` (``unknown <what> keys: [...]``) when ``spec``
     holds a key outside ``known``."""
@@ -160,7 +172,7 @@ def _parse_machine(spec: Mapping) -> MachineSpec:
     preset = spec.get("preset")
     if preset == "ibm_x445":
         reject_unknown_keys(spec, "machine", ("preset", "smt"))
-        return MachineSpec.ibm_x445(smt=bool(spec.get("smt", True)))
+        return MachineSpec.ibm_x445(smt=_flag(spec, "smt", True))
     if preset == "smp":
         reject_unknown_keys(spec, "machine", ("preset", "n_cpus"))
         return MachineSpec.smp(converted(spec, "n_cpus", int))
@@ -170,7 +182,7 @@ def _parse_machine(spec: Mapping) -> MachineSpec:
         return MachineSpec.cmp(
             packages=converted(spec, "packages", int, 2),
             cores=converted(spec, "cores", int, 2),
-            smt=bool(spec.get("smt", False)),
+            smt=_flag(spec, "smt", False),
         )
     if preset is not None:
         raise ValueError(f"unknown machine preset {preset!r}")
@@ -322,7 +334,7 @@ def parse_scenario(data: Mapping) -> Scenario:
     duration_s = converted(data, "duration_s", _positive, 300.0)
     machine = _parse_machine(machine_spec)
     throttle = ThrottleConfig(
-        enabled=bool(throttle_spec.get("enabled", False)),
+        enabled=_flag(throttle_spec, "enabled", False),
         scope=throttle_spec.get("scope", "logical"),
         mode=throttle_spec.get("mode", "hlt"),
     )
@@ -363,26 +375,32 @@ def parse_scenario(data: Mapping) -> Scenario:
     )
 
 
+#: The keys of a document's ``"options"`` object.
+_SWITCHES = ("fast_path", "validate", "obs")
+
+
 def read_run_options(data: dict) -> RunOptions:
     """Pop a document's run switches off ``data``.
 
-    Two keys carry them: the ``"options"`` object (``fast_path``,
-    ``validate``, ``obs``; a ``null`` keeps the default, and any other
-    key raises ``ValueError``) and the top-level ``"obs"``, which turns
-    the observer on as ``options.obs`` does.  Returns the
-    :class:`~repro.api.RunOptions` they spell; JSON holds only plain
-    values, so each switch is read as a bool.
+    Two keys carry them: the ``"options"`` object or ``null``
+    (``fast_path``, ``validate``, ``obs``; any other key raises
+    ``ValueError``) and the top-level ``"obs"``, which turns the observer
+    on as ``options.obs`` does.  Each switch is ``true`` or ``false``,
+    and ``null`` keeps the default; any other value raises
+    ``ValueError`` naming it.  Returns the :class:`~repro.api.RunOptions`
+    they spell.
     """
-    given = data.pop("options", None) or {}
-    if not isinstance(given, dict):
-        raise ValueError(f"'options' must be an object, not {given!r}")
-    reject_unknown_keys(given, "scenario option",
-                        ("fast_path", "validate", "obs"))
-    switches = {
-        key: bool(value) for key, value in given.items() if value is not None
-    }
-    if data.pop("obs", False):
+    given = data.pop("options", None)
+    if given is None:
+        given = {}
+    if not isinstance(given, Mapping):
+        raise ValueError(f"'options' must be an object or null, not {given!r}")
+    reject_unknown_keys(given, "scenario option", _SWITCHES)
+    plain = RunOptions()
+    switches = {key: _flag(given, key, getattr(plain, key)) for key in _SWITCHES}
+    if _flag(data, "obs", False):
         switches["obs"] = True
+    data.pop("obs", None)
     return RunOptions(**switches)
 
 

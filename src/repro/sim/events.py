@@ -24,23 +24,6 @@ class EventKind(enum.Enum):
     MIGRATION = "migration"
     THROTTLE_ON = "throttle_on"
     THROTTLE_OFF = "throttle_off"
-    BALANCE_PASS = "balance_pass"
-    PHASE_CHANGE = "phase_change"
-
-
-class MigrationReason(enum.Enum):
-    """Why a task was moved between runqueues.
-
-    The paper distinguishes migrations made by the (energy-extended) load
-    balancer from active hot-task migrations; exchanges are the cool tasks
-    moved back to preserve load balance (§4.4, §4.5).
-    """
-
-    LOAD_BALANCE = "load_balance"
-    ENERGY_BALANCE = "energy_balance"
-    HOT_TASK = "hot_task"
-    EXCHANGE = "exchange"
-    PLACEMENT = "placement"
 
 
 @dataclass(frozen=True, slots=True)

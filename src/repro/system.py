@@ -68,12 +68,6 @@ from repro.workloads.generator import TaskSpec, WorkloadSpec
 from repro.workloads.programs import PROGRAMS
 
 
-#: Checkpoint format identity.  The schema string names the container
-#: layout (header fields + pickled machine payload); the version bumps
-#: whenever either changes incompatibly.  Loaders reject anything else.
-CHECKPOINT_SCHEMA = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
-
 #: Attributes excluded from pickling: every one is *derived* — either a
 #: pure memo (cleared and recomputed on demand, values bit-identical by
 #: construction) or an alias into state that pickle cannot preserve
@@ -422,7 +416,8 @@ class System:
     # the pickle memo.  Only the derived attributes in _DERIVED_ATTRS
     # are dropped and rebuilt (by _derive), so a restored system
     # continues the run bit-identically (asserted per pinned scenario in
-    # tests/test_resilience_checkpoint.py).
+    # tests/test_resilience_checkpoint.py).  The checkpoint format
+    # around the pickle lives in repro.resilience.checkpoint.
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -488,52 +483,6 @@ class System:
             # Shadow the bound method with the timed variant so the
             # normal tick loop carries no profiling branch.
             self.tick = self._tick_profiled
-
-    def snapshot(self) -> dict:
-        """A versioned, self-contained checkpoint of the machine.
-
-        The returned dict is the in-memory checkpoint format:
-        identifying header fields plus the pickled machine as the
-        ``payload``.  :func:`repro.resilience.checkpoint.save_checkpoint`
-        writes it to disk atomically; :meth:`restore` rebuilds the
-        system.  Snapshotting reads state only — taking one mid-run does
-        not perturb the run.
-        """
-        import pickle
-
-        return {
-            "schema": f"{CHECKPOINT_SCHEMA}/{CHECKPOINT_VERSION}",
-            "version": CHECKPOINT_VERSION,
-            "tick_ms": self.config.tick_ms,
-            "now_ms": self._now_ms,
-            "ticks": self._now_ms // self.config.tick_ms,
-            "policy": self.policy_name,
-            "fast_path": self.fast_path,
-            "payload": pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
-        }
-
-    @classmethod
-    def restore(cls, snapshot: dict) -> "System":
-        """Rebuild a machine from a :meth:`snapshot` dict.
-
-        Validates the schema/version header before unpickling and
-        raises ``ValueError`` on anything this code cannot load.
-        """
-        schema = snapshot.get("schema")
-        expected = f"{CHECKPOINT_SCHEMA}/{CHECKPOINT_VERSION}"
-        if schema != expected:
-            raise ValueError(
-                f"unsupported checkpoint schema {schema!r}; this build "
-                f"reads {expected!r}"
-            )
-        import pickle
-
-        system = pickle.loads(snapshot["payload"])
-        if not isinstance(system, cls):
-            raise ValueError(
-                f"checkpoint payload is {type(system).__name__}, not a System"
-            )
-        return system
 
     # ------------------------------------------------------------------------
     # Tick phases

@@ -6,27 +6,20 @@ Three complementary instruments over the same simulator:
   :class:`~repro.system.System` state (energy conservation, thermal
   bounds, hysteresis, migration preconditions, bookkeeping), checked
   via opt-in hooks while a simulation runs;
-* :mod:`repro.validate.oracle` — per-tick lockstep replay of the fast
-  and scalar tick paths with first-divergence reporting, plus the
-  SMT-sibling relabeling metamorphic check;
+* :mod:`repro.validate.oracle` — one per-tick lockstep loop
+  (:func:`lockstep`) that replays the fast tick path, or the vectorized
+  fleet engine, against scalar references with per-machine
+  first-divergence reporting, plus the SMT-sibling relabeling
+  metamorphic check;
 * :mod:`repro.validate.faults` — seeded perturbation of counter reads,
   counter registers, migration requests, and thermal coefficients,
-  asserting graceful degradation;
-* :mod:`repro.validate.fleet` — lockstep replay of the vectorized
-  fleet engine against N scalar twins with per-machine
-  first-divergence reporting.
+  asserting graceful degradation.
 
 ``python -m repro validate`` (see :mod:`repro.validate.runner`) runs
 the full matrix over the pinned scenarios.
 """
 
 from repro.validate.faults import FaultInjector, FaultPlan, load_fault_plans
-from repro.validate.fleet import (
-    FleetOracleReport,
-    MemberDivergence,
-    fleet_lockstep,
-    fleet_oracle_check,
-)
 from repro.validate.invariants import (
     FAULT_KINDS,
     REGISTRY,
@@ -38,9 +31,13 @@ from repro.validate.invariants import (
     invariant_by_name,
 )
 from repro.validate.oracle import (
+    Divergence,
     MetamorphicReport,
     OracleReport,
     differential_replay,
+    fleet_lockstep,
+    fleet_oracle_check,
+    lockstep,
     replay_pair,
     smt_relabel_check,
 )
@@ -53,14 +50,13 @@ from repro.validate.runner import (
 )
 
 __all__ = [
+    "Divergence",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
-    "FleetOracleReport",
     "Invariant",
     "InvariantChecker",
     "InvariantViolation",
-    "MemberDivergence",
     "MetamorphicReport",
     "OracleReport",
     "REGISTRY",
@@ -73,6 +69,7 @@ __all__ = [
     "golden_trace",
     "invariant_by_name",
     "load_fault_plans",
+    "lockstep",
     "replay_pair",
     "run_validation",
     "smt_relabel_check",

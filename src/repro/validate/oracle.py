@@ -1,16 +1,22 @@
-"""Differential oracle: fast vs. scalar replay and metamorphic checks.
+"""Differential oracle: one lockstep replay for every tick implementation.
 
-``repro validate`` checks here that the batched and scalar tick loops
-agree, tick by tick and not only on the final summary (which
-:func:`replay_pair` also compares byte for byte).  Two systems are built
-from the same (config, workload, policy) triple — one per tick path —
-and advanced in lockstep.  After each tick a canonical probe of the
-machine state (per-CPU powers, the thermal EWMA column, package
-temperatures, runqueue lengths, job and migration counters, the PMC
-counter registers) is compared
-*exactly*: the paths are bit-identical by construction, so the first
-unequal probe pinpoints the tick a regression was introduced, not just
-that one happened.
+``repro validate`` checks here that the batched single-machine path and
+the fleet engine agree with the scalar reference, tick by tick and not
+only on the final summary (which :func:`lockstep` also compares byte for
+byte).  Each candidate machine is built from the same (config,
+workload, policy) triple as its scalar reference, and both are advanced
+in lockstep.  After each probed tick a canonical probe of the machine
+state (per-CPU powers, the thermal EWMA column, package temperatures,
+runqueue lengths, job and migration counters, the PMC counter
+registers) is compared *exactly*: the paths are bit-identical by
+construction, so the first unequal probe pinpoints the tick a
+regression was introduced, not just that one happened.
+
+:func:`lockstep` is the one loop.  :func:`replay_pair` drives one fast
+machine against one scalar machine, and :func:`fleet_lockstep` one
+:class:`~repro.fleet.FleetEngine` against a scalar twin per member;
+both report through the same :class:`OracleReport`, which names each
+diverging machine by index and seed.
 
 The metamorphic check exploits a symmetry of the model rather than a
 second implementation: with counter jitter disabled and every task
@@ -25,25 +31,37 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig
 from repro.core.policyspec import PolicySpec
+from repro.cpu.topology import Topology
 from repro.sim.clock import Clock
 from repro.system import System
-from repro.workloads.generator import TaskSpec, WorkloadSpec
+from repro.workloads.generator import WorkloadSpec
+
+#: Relative tolerance of the relabeling check's energy and job totals.
+RELABEL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
 class Divergence:
-    """First point where the two replayed systems disagreed."""
+    """First divergent probe of one machine against its reference.
 
+    ``details`` maps each unequal field to the (candidate, reference)
+    values.
+    """
+
+    member: int
+    seed: int
     tick: int
     fields: tuple[str, ...]
     details: dict[str, tuple[object, object]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
+            "member": self.member,
+            "seed": self.seed,
             "tick": self.tick,
             "fields": list(self.fields),
             "details": {
@@ -52,29 +70,34 @@ class Divergence:
             },
         }
 
+    def describe(self) -> str:
+        return (
+            f"member {self.member} (seed {self.seed}) diverged at tick "
+            f"{self.tick}: {', '.join(self.fields)}"
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class OracleReport:
-    """Outcome of one differential replay."""
+    """Outcome of one lockstep replay: each machine's first divergence,
+    in member order, and whether every final summary matched."""
 
     n_ticks: int
-    divergence: Divergence | None
+    n_machines: int
+    divergences: tuple[Divergence, ...]
     summaries_identical: bool
-    summary_a: dict
-    summary_b: dict
 
     @property
     def identical(self) -> bool:
-        return self.divergence is None and self.summaries_identical
+        return not self.divergences and self.summaries_identical
 
     def to_dict(self) -> dict:
         return {
             "n_ticks": self.n_ticks,
+            "n_machines": self.n_machines,
             "identical": self.identical,
             "summaries_identical": self.summaries_identical,
-            "divergence": (
-                self.divergence.to_dict() if self.divergence is not None else None
-            ),
+            "divergences": [d.to_dict() for d in self.divergences],
         }
 
 
@@ -113,83 +136,160 @@ def summary_bytes(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True)
 
 
+def lockstep(
+    advance: Callable[[bool], None],
+    systems: Sequence[System],
+    references: Sequence[System],
+    n_ticks: int,
+    probe_every: int = 1,
+) -> OracleReport:
+    """Advance candidates and references in lockstep, diffing per machine.
+
+    ``advance(readable)`` moves every candidate in ``systems`` one tick
+    on; ``readable`` is true on probe ticks and on the last tick, when
+    the candidates' state must be readable through their ``System``
+    objects (the fleet flushes its arrays then).  Each reference runs on
+    its own :class:`~repro.sim.clock.Clock`.  Every ``probe_every``
+    ticks each machine is probed against its reference; its first
+    divergence is recorded and it is not probed again, but every machine
+    runs to the end, so the final ``scalar_summary()`` comparison still
+    tells a divergence that cancels out from one that compounds.
+    """
+    if n_ticks < 1:
+        raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
+    if probe_every < 1:
+        raise ValueError(f"probe_every must be >= 1, got {probe_every}")
+    if not systems or len(systems) != len(references):
+        raise ValueError(
+            f"need one reference per system, got {len(systems)} systems "
+            f"and {len(references)} references"
+        )
+    clocks = [Clock(reference.config.tick_ms) for reference in references]
+    diverged: dict[int, Divergence] = {}
+    for tick in range(1, n_ticks + 1):
+        probing = tick % probe_every == 0
+        advance(probing or tick == n_ticks)
+        for clock, reference in zip(clocks, references):
+            clock.advance()
+            reference.tick(clock)
+        if not probing:
+            continue
+        for m, (system, reference) in enumerate(zip(systems, references)):
+            if m in diverged:
+                continue
+            candidate, expected = probe(system), probe(reference)
+            if candidate != expected:
+                unequal = tuple(
+                    name for name in expected if candidate[name] != expected[name]
+                )
+                diverged[m] = Divergence(
+                    member=m,
+                    seed=system.config.seed,
+                    tick=tick,
+                    fields=unequal,
+                    details={
+                        name: (candidate[name], expected[name])
+                        for name in unequal
+                    },
+                )
+    from repro.api import SimulationResult  # local: api imports System
+
+    duration_s = n_ticks * clocks[0].tick_s
+    summaries_identical = all(
+        summary_bytes(SimulationResult(system, duration_s).scalar_summary())
+        == summary_bytes(SimulationResult(reference, duration_s).scalar_summary())
+        for system, reference in zip(systems, references)
+    )
+    return OracleReport(
+        n_ticks=n_ticks,
+        n_machines=len(systems),
+        divergences=tuple(diverged[m] for m in sorted(diverged)),
+        summaries_identical=summaries_identical,
+    )
+
+
 def replay_pair(
     system_a: System,
     system_b: System,
     n_ticks: int,
     probe_every: int = 1,
 ) -> OracleReport:
-    """Advance both systems in lockstep, diffing probes as they go.
+    """:func:`lockstep` of ``system_a`` against the reference ``system_b``."""
+    clock = Clock(system_a.config.tick_ms)
 
-    The first divergent probe is recorded (tick and unequal fields) but
-    the replay runs to completion so the final summaries are still
-    comparable — a divergence that later cancels out is a different,
-    nastier bug than one that compounds, and the report distinguishes
-    them.
-    """
-    if n_ticks < 1:
-        raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
-    if probe_every < 1:
-        raise ValueError(f"probe_every must be >= 1, got {probe_every}")
-    clock_a = Clock(system_a.config.tick_ms)
-    clock_b = Clock(system_b.config.tick_ms)
-    divergence: Divergence | None = None
-    for _ in range(n_ticks):
-        clock_a.advance()
-        clock_b.advance()
-        system_a.tick(clock_a)
-        system_b.tick(clock_b)
-        if divergence is not None or clock_a.ticks % probe_every != 0:
-            continue
-        probe_a = probe(system_a)
-        probe_b = probe(system_b)
-        if probe_a != probe_b:
-            unequal = tuple(
-                name for name in probe_a if probe_a[name] != probe_b[name]
-            )
-            divergence = Divergence(
-                tick=clock_a.ticks,
-                fields=unequal,
-                details={name: (probe_a[name], probe_b[name]) for name in unequal},
-            )
-    from repro.api import SimulationResult  # local: api imports System
+    def advance(readable: bool) -> None:
+        clock.advance()
+        system_a.tick(clock)
 
-    duration_s = n_ticks * clock_a.tick_s
-    summary_a = SimulationResult(system_a, duration_s).scalar_summary()
-    summary_b = SimulationResult(system_b, duration_s).scalar_summary()
-    return OracleReport(
-        n_ticks=n_ticks,
-        divergence=divergence,
-        summaries_identical=summary_bytes(summary_a) == summary_bytes(summary_b),
-        summary_a=summary_a,
-        summary_b=summary_b,
-    )
+    return lockstep(advance, [system_a], [system_b], n_ticks, probe_every)
 
 
 def differential_replay(
     config: SystemConfig,
     workload: WorkloadSpec,
     policy: PolicySpec | str = "energy",
-    policy_config: EnergyAwareConfig | None = None,
     duration_s: float = 5.0,
     probe_every: int = 1,
-    validate: bool = False,
 ) -> OracleReport:
     """Replay one job spec through the fast and scalar tick paths."""
-    policy = PolicySpec.coerce(policy)
-
-    def build(fast: bool) -> System:
-        return System(
-            config,
-            workload,
-            policy=policy,
-            policy_config=policy_config,
-            fast_path=fast,
-            validate=validate,
-        )
-
+    fast, scalar = (
+        System(config, workload, policy=policy, fast_path=fast_path)
+        for fast_path in (True, False)
+    )
     n_ticks = Clock(config.tick_ms).ticks_for_ms(duration_s * 1000.0)
-    return replay_pair(build(True), build(False), n_ticks, probe_every)
+    return replay_pair(fast, scalar, n_ticks, probe_every)
+
+
+def fleet_lockstep(
+    builders: Sequence[Callable[[], System]], n_ticks: int
+) -> OracleReport:
+    """:func:`lockstep` of one :class:`~repro.fleet.FleetEngine` against
+    a scalar twin per member.
+
+    ``builders`` is one zero-argument ``System`` factory per machine;
+    each is called twice, twin first, so the fleet member and its
+    scalar twin start from byte-identical state.
+    """
+    from repro.fleet import FleetEngine
+
+    twins = [build() for build in builders]
+    fleet = FleetEngine([build() for build in builders])
+
+    def advance(readable: bool) -> None:
+        fleet.clock.advance()
+        fleet.tick(fleet.clock)
+        if readable:
+            fleet.sync()
+
+    return lockstep(advance, fleet.systems, twins, n_ticks)
+
+
+def fleet_oracle_check(
+    n_machines: int = 8,
+    duration_s: float = 5.0,
+    first_seed: int = 1,
+) -> OracleReport:
+    """Run :func:`fleet_lockstep` on the pinned fleet configuration.
+
+    ``n_machines`` members of
+    :data:`repro.scenarios.pinned.FLEET_SCENARIO`, seeds
+    ``first_seed`` onwards, advanced ``duration_s`` simulated seconds.
+    """
+    from repro.scenario import parse_scenario
+    from repro.scenarios.pinned import FLEET_SCENARIO
+
+    def make_builder(seed: int) -> Callable[[], System]:
+        def build() -> System:
+            member = parse_scenario(dict(FLEET_SCENARIO.scenario, seed=seed))
+            return System(member.config, member.workload,
+                          policy=member.policy)
+
+        return build
+
+    seeds = range(first_seed, first_seed + n_machines)
+    tick_ms = parse_scenario(FLEET_SCENARIO.scenario).config.tick_ms
+    n_ticks = Clock(tick_ms).ticks_for_ms(duration_s * 1000.0)
+    return fleet_lockstep([make_builder(seed) for seed in seeds], n_ticks)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +329,10 @@ def smt_relabel_check(
     config: SystemConfig,
     workload: WorkloadSpec,
     policy: PolicySpec | str = "energy",
-    policy_config: EnergyAwareConfig | None = None,
     duration_s: float = 5.0,
-    rel_tol: float = 1e-9,
 ) -> MetamorphicReport:
     """Swapping each pinned task onto its SMT sibling must not change
-    aggregate energy or throughput.
+    aggregate energy or throughput (within :data:`RELABEL_REL_TOL`).
 
     Counter jitter is disabled for both runs (the per-CPU jitter RNG
     streams are the one part of the model that is *not* symmetric under
@@ -249,31 +347,24 @@ def smt_relabel_check(
             reason=f"machine has threads_per_core={spec.threads_per_core}; "
                    f"no SMT sibling pairs to relabel",
         )
-    policy = PolicySpec.coerce(policy)
+    from repro.api import run_simulation  # local: api imports System
+
     quiet = replace(config, counter_jitter_sigma=0.0)
+    topology = Topology(spec)
 
     def run(flip: bool) -> System:
-        system_probe = System(quiet, workload, policy=policy,
-                              policy_config=policy_config)
-        n_cpus = system_probe.n_cpus
-        siblings = system_probe._siblings
         pinned = []
         for i, task_spec in enumerate(workload.tasks):
-            cpu = i % n_cpus
+            cpu = i % len(topology)
             if flip:
-                cpu = siblings[cpu][0]
+                cpu = topology.siblings_of(cpu)[0]
             pinned.append(replace(task_spec, cpus_allowed=(cpu,)))
         pinned_workload = WorkloadSpec(
             name=f"{workload.name}-pinned{'-flipped' if flip else ''}",
             tasks=tuple(pinned),
         )
-        system = System(quiet, pinned_workload, policy=policy,
-                        policy_config=policy_config)
-        clock = Clock(quiet.tick_ms)
-        for _ in range(clock.ticks_for_ms(duration_s * 1000.0)):
-            clock.advance()
-            system.tick(clock)
-        return system
+        return run_simulation(quiet, pinned_workload, policy=policy,
+                              duration_s=duration_s).system
 
     system_a = run(flip=False)
     system_b = run(flip=True)
@@ -281,8 +372,9 @@ def smt_relabel_check(
     energy_b = _total_energy_j(system_b)
     jobs_a = system_a.fractional_jobs()
     jobs_b = system_b.fractional_jobs()
-    ok = math.isclose(energy_a, energy_b, rel_tol=rel_tol, abs_tol=1e-9) and (
-        math.isclose(jobs_a, jobs_b, rel_tol=rel_tol, abs_tol=1e-9)
+    ok = all(
+        math.isclose(a, b, rel_tol=RELABEL_REL_TOL, abs_tol=1e-9)
+        for a, b in ((energy_a, energy_b), (jobs_a, jobs_b))
     )
     return MetamorphicReport(
         applicable=True,

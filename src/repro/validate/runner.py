@@ -3,23 +3,29 @@
 ``python -m repro validate`` drives this module.  For every reference
 scenario it runs:
 
-1. **clean invariant runs** — the scenario on the fast and the scalar
-   tick path with the full invariant registry checking every sampled
-   tick; any recorded violation is a breach;
-2. **the differential oracle** — a per-tick lockstep replay of both
-   paths with a first-divergence report;
-3. **the metamorphic check** — SMT-sibling relabeling (skipped on
+1. **one lockstep replay per tick path** — the scenario on the fast
+   and the scalar path, advanced together by
+   :func:`~repro.validate.oracle.replay_pair` with the full invariant
+   registry checking every sampled tick on both.  Any recorded
+   violation is a breach (the ``clean`` entries), and so is a probe or
+   final summary on which the two paths differ (the ``oracle`` entry,
+   with a first-divergence report);
+2. **the metamorphic check** — SMT-sibling relabeling (skipped on
    non-SMT machines, reported as inapplicable);
-4. **the fault matrix** — one run per committed
+3. **the fault matrix** — one fast-path run per committed
    :class:`~repro.validate.faults.FaultPlan` with the invariants
    enabled.  A crash is a breach; violations of invariants *not*
    declared sensitive to the plan's fault kinds are breaches;
    violations of sensitive invariants are the expected detections and
    are reported, not raised.
 
-The payload (``schema: repro-validate/1``) is deterministic for a given
+Then it replays the pinned fleet scenario through
+:func:`~repro.validate.oracle.fleet_oracle_check`.
+
+The payload (``schema: repro-validate/2``) is deterministic for a given
 code state: scenarios are pinned and every fault plan is seeded, so CI
-can diff reports across commits.
+can diff reports across commits.  Its ``oracle`` and ``fleet`` entries
+are both an :class:`~repro.validate.oracle.OracleReport`.
 """
 
 from __future__ import annotations
@@ -42,9 +48,14 @@ from repro.validate.invariants import (
     ValidationConfig,
     invariant_by_name,
 )
-from repro.validate.oracle import differential_replay, smt_relabel_check
+from repro.validate.oracle import (
+    OracleReport,
+    fleet_oracle_check,
+    replay_pair,
+    smt_relabel_check,
+)
 
-SCHEMA = "repro-validate/1"
+SCHEMA = "repro-validate/2"
 GOLDEN_SCHEMA = "repro-golden/1"
 
 #: ``--duration short``: long enough for forks, balancing passes, hot
@@ -59,27 +70,35 @@ def _violations_json(violations) -> list[dict]:
     return [v.to_dict() for v in violations]
 
 
+def _oracle_breaches(where: str, report: OracleReport) -> list[str]:
+    """One breach line per diverging machine, or one when only the
+    final summaries differ."""
+    if report.divergences:
+        return [f"{where}{d.describe()}" for d in report.divergences]
+    if not report.summaries_identical:
+        return [f"{where}final summaries differ"]
+    return []
+
+
 def _run_system(
     scenario: PinnedScenario,
     duration_s: float,
-    fast_path: bool,
     sample_every: int,
-    plan: FaultPlan | None = None,
-) -> tuple[System, FaultInjector | None]:
+    plan: FaultPlan,
+) -> tuple[System, FaultInjector]:
+    """One fast-path run of ``scenario`` with ``plan`` injected."""
     parsed = parse_scenario(scenario.scenario)
     clock = Clock(parsed.config.tick_ms)
     system = System(
         parsed.config,
         parsed.workload,
         policy=parsed.policy,
-        fast_path=fast_path,
         validate=ValidationConfig(sample_every=sample_every),
     )
-    injector = FaultInjector(system, plan) if plan is not None else None
+    injector = FaultInjector(system, plan)
     engine = Engine(clock, system.tracer)
     engine.register(system)
-    if injector is not None:
-        engine.register(injector)
+    engine.register(injector)
     engine.run_for(duration_s)
     return system, injector
 
@@ -95,7 +114,7 @@ def _fault_entry(
     active_kinds = plan.fault_kinds()
     try:
         system, injector = _run_system(
-            scenario, duration_s, True, sample_every, plan
+            scenario, duration_s, sample_every, plan
         )
     except Exception:  # noqa: BLE001 - any crash is precisely the breach
         breaches.append(
@@ -132,7 +151,6 @@ def run_validation(
     duration_s: float | None = SHORT_DURATION_S,
     sample_every: int = 1,
     include_faults: bool = True,
-    probe_every: int = 1,
     fault_plans: Sequence[FaultPlan] | None = None,
 ) -> dict:
     """Run the matrix; returns the report payload.
@@ -156,9 +174,20 @@ def run_validation(
         duration = duration_s if duration_s is not None else parsed.duration_s
         entry: dict = {"name": scenario.name, "duration_s": duration}
 
+        fast, scalar = (
+            System(
+                parsed.config,
+                parsed.workload,
+                policy=parsed.policy,
+                fast_path=fast_path,
+                validate=ValidationConfig(sample_every=sample_every),
+            )
+            for fast_path in (True, False)
+        )
+        n_ticks = Clock(parsed.config.tick_ms).ticks_for_ms(duration * 1000.0)
+        oracle = replay_pair(fast, scalar, n_ticks)
         clean = {}
-        for label, fast in (("fast", True), ("scalar", False)):
-            system, _ = _run_system(scenario, duration, fast, sample_every)
+        for label, system in (("fast", fast), ("scalar", scalar)):
             validator = system.validator
             clean[label] = {
                 "violations": _violations_json(validator.violations[:20]),
@@ -172,22 +201,11 @@ def run_validation(
                     f"on a clean run: {', '.join(names)}"
                 )
         entry["clean"] = clean
-
-        oracle = differential_replay(
-            parsed.config, parsed.workload, policy=parsed.policy,
-            duration_s=duration, probe_every=probe_every,
-        )
         entry["oracle"] = oracle.to_dict()
-        if not oracle.identical:
-            where = (
-                f"first divergence at tick {oracle.divergence.tick} "
-                f"({', '.join(oracle.divergence.fields)})"
-                if oracle.divergence is not None
-                else "final summaries differ"
-            )
-            breaches.append(
-                f"{scenario.name}/oracle: fast and scalar paths diverged — {where}"
-            )
+        breaches.extend(_oracle_breaches(
+            f"{scenario.name}/oracle: fast and scalar paths diverged — ",
+            oracle,
+        ))
 
         metamorphic = smt_relabel_check(
             parsed.config, parsed.workload, policy=parsed.policy,
@@ -208,21 +226,10 @@ def run_validation(
         scenario_reports.append(entry)
 
     # -- fleet engine vs scalar twins, per-member lockstep ------------------
-    from repro.validate.fleet import fleet_oracle_check
-
-    fleet_duration = (
-        duration_s if duration_s is not None else SHORT_DURATION_S
-    )
     fleet_report = fleet_oracle_check(
-        duration_s=fleet_duration, probe_every=probe_every
+        duration_s=duration_s if duration_s is not None else SHORT_DURATION_S
     )
-    for divergence in fleet_report.divergences:
-        breaches.append(f"fleet/oracle: {divergence.describe()}")
-    if not fleet_report.divergences and not fleet_report.summaries_identical:
-        breaches.append(
-            "fleet/oracle: per-tick probes agree but final member "
-            "summaries differ"
-        )
+    breaches.extend(_oracle_breaches("fleet/oracle: ", fleet_report))
     return {
         "schema": SCHEMA,
         "ok": not breaches,

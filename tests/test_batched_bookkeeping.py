@@ -30,12 +30,12 @@ from repro.cpu.dvfs import (
 )
 from repro.cpu.pmc import COUNTER_BITS, jitter_bound, wrap_horizon
 from repro.cpu.throttle import ThrottleConfig, ThrottleController
+from repro.resilience.checkpoint import restore, snapshot
 from repro.scenario import parse_scenario
 from repro.scenarios.pinned import FLEET_SCENARIO, scenario_by_name
 from repro.sim.clock import Clock
 from repro.system import System
-from repro.validate import FaultInjector, load_fault_plans
-from repro.validate.fleet import fleet_lockstep
+from repro.validate import FaultInjector, fleet_lockstep, load_fault_plans
 
 MODULUS = 2.0**COUNTER_BITS
 N_TICKS = 200
@@ -151,7 +151,7 @@ class TestWrapLockstep:
             lockstep.run(1)
         split = lockstep.clocks[0].ticks
         assert split < N_TICKS // 2
-        lockstep.fast = System.restore(fast.snapshot())
+        lockstep.fast = restore(snapshot(fast))
         lockstep.run(N_TICKS - split)
         assert lockstep.wrapped() > 0
 

@@ -20,7 +20,7 @@ from repro.fleet import FleetEngine, FleetUnsupported, check_fleet_supported
 from repro.scenario import parse_scenario
 from repro.scenarios.pinned import FLEET_SCENARIO
 from repro.system import System
-from repro.validate.fleet import fleet_lockstep, fleet_oracle_check
+from repro.validate import fleet_lockstep, fleet_oracle_check
 from repro.workloads.generator import steady_mix_workload
 
 DURATION_S = 3.0
@@ -114,6 +114,19 @@ class TestEligibility:
         d = report.to_dict()
         assert d["divergences"] == []
         assert d["n_machines"] == 2
+        # Twins are built first, so member 1 runs seed 9 against a
+        # seed-8 twin.
+        seeds = iter((8, 9))
+        report = fleet_lockstep(
+            [lambda: _build(7, "energy"),
+             lambda: _build(next(seeds), "energy")],
+            n_ticks=N_TICKS,
+        )
+        (divergence,) = report.divergences
+        assert (divergence.member, divergence.seed) == (1, 9)
+        assert divergence.describe().startswith(
+            "member 1 (seed 9) diverged at tick "
+        )
 
 
 class TestGeneratedFamilies:

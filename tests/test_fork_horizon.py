@@ -17,6 +17,7 @@ from repro.api import SimulationResult
 from repro.config import SystemConfig
 from repro.cpu.topology import MachineSpec
 from repro.fleet import FleetEngine
+from repro.resilience.checkpoint import restore, snapshot
 from repro.scenarios import GeneratorSpec
 from repro.sim.clock import Clock
 from repro.sim.events import EventKind
@@ -109,7 +110,7 @@ class TestArrivalHorizon:
         first = System(_config(), _workload())
         clock = Clock(first.config.tick_ms)
         _advance(first, clock, 0.3)
-        restored = System.restore(first.snapshot())
+        restored = restore(snapshot(first))
         assert "_next_fork_ms" not in first.__getstate__()
         assert restored._next_fork_ms == first._next_fork_ms == 0.35 * 1000
         _advance(restored, clock, DURATION_S)

@@ -80,7 +80,7 @@ class TestEnvelopeOnAllSubcommands:
                      "--duration", "1", "--skip-faults", "--json"])
         assert code == 0
         payload = _envelope(capsys)
-        assert payload["schema"] == "repro-validate/1"
+        assert payload["schema"] == "repro-validate/2"
 
     def test_trace_json(self, quick_file, capsys):
         code = main(["trace", "--file", quick_file,

@@ -14,7 +14,6 @@ import pytest
 from repro.obs.events import (
     EVENT_KINDS,
     RUN_EVENT_SCHEMA,
-    CallbackSink,
     EventBus,
     JsonlSink,
     RingBufferSink,
@@ -42,7 +41,7 @@ class TestEventBus:
         bus = EventBus()
         seen_a, seen_b = [], []
         bus.subscribe(seen_a.append)
-        bus.subscribe(CallbackSink(seen_b.append))
+        bus.subscribe(seen_b.append)
         bus.emit("grid_started", total=3, workers=1)
         assert len(seen_a) == 1 and len(seen_b) == 1
         assert seen_a[0] is seen_b[0]

@@ -22,13 +22,19 @@ from repro.resilience import (
     run_simulation_checkpointed,
     save_checkpoint,
 )
+from repro.resilience.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    CHECKPOINT_VERSION,
+    restore,
+    snapshot,
+)
 from repro.runner.cache import code_salt
 from repro.scenario import parse_scenario
 from repro.scenarios.pinned import REFERENCE_SCENARIOS, scenario_by_name
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngFactory
-from repro.system import CHECKPOINT_SCHEMA, CHECKPOINT_VERSION, System
+from repro.system import System
 
 DURATION_S = 6.0
 SPLIT_S = 3.0
@@ -123,7 +129,7 @@ class TestBitIdentity:
         scenario = _pinned("mixed-16cpu")
         system, clock, engine = _build(scenario, fast_path=True)
         engine.run_ticks(50)
-        restored = System.restore(system.snapshot())
+        restored = restore(snapshot(system))
         # The counter banks must write through the stacked matrix after
         # restore — a pickled numpy view otherwise detaches silently.
         for c, bank in enumerate(restored.banks):
@@ -161,7 +167,7 @@ class TestFormat:
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         path = self._checkpointed(tmp_path)
-        save_checkpoint(path, System.restore(read_and_load(path)))
+        save_checkpoint(path, restore(read_and_load(path)))
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_read_rejects_missing_and_corrupt(self, tmp_path):
@@ -264,8 +270,8 @@ class TestStatePrimitives:
         scenario = _pinned("mixed-8cpu-nosmt")
         system, clock, engine = _build(scenario, fast_path=False)
         engine.run_ticks(10)
-        snapshot = system.snapshot()
-        clone = pickle.loads(snapshot["payload"])
+        taken = snapshot(system)
+        clone = pickle.loads(taken["payload"])
         assert isinstance(clone, System)
-        assert snapshot["ticks"] == 10
-        assert snapshot["fast_path"] is False
+        assert taken["ticks"] == 10
+        assert taken["fast_path"] is False

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.obs import prometheus_text, runner_metrics_registry
 from repro.resilience import (
     ExecutorStats,
     SweepJournal,
@@ -271,20 +270,6 @@ class TestCacheCorruption:
 
 
 class TestMetricsExport:
-    def test_runner_registry_renders_resilience_counters(self):
-        stats = ExecutorStats(retries=2, worker_crashes=1, pool_rebuilds=1,
-                              timeouts=0, quarantined=1, interrupted=True)
-        from repro.runner.cache import CacheStats
-
-        cache_stats = CacheStats(hits=3, misses=2, stores=2, corrupt=1)
-        registry = runner_metrics_registry(stats, cache_stats)
-        text = prometheus_text(registry)
-        assert "repro_runner_retries_total 2" in text
-        assert "repro_runner_worker_crashes_total 1" in text
-        assert "repro_runner_quarantined_total 1" in text
-        assert "repro_runner_interrupted 1" in text
-        assert "repro_runner_cache_corrupt_total 1" in text
-
     def test_stats_describe_and_dict_round_trip(self):
         stats = ExecutorStats()
         assert stats.describe() == "no incidents"

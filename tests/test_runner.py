@@ -321,6 +321,10 @@ class TestGridFiles:
             expand_grid([{"experiment": "fig9", "seed": 1}])
         with pytest.raises(ValueError, match="non-empty"):
             expand_grid({"jobs": []})
+        with pytest.raises(ValueError) as excinfo:
+            expand_grid({"jobs": [{"experiment": "fig9", "seeds": [1]}],
+                         "workers": 4})
+        assert str(excinfo.value) == "unknown grid keys: ['workers']"
         with pytest.raises(ValueError, match="not both"):
             expand_grid([{"experiment": "fig9", "duration_s": 1,
                           "durations": [1]}])

@@ -258,6 +258,25 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert "[1/" not in err  # no job started
 
+    def test_grid_wrapper_key_is_named(self, tmp_path, capsys):
+        """``{"jobs": [...]}`` holds nothing else: a grid-level
+        ``workers`` would otherwise be dropped and the batch run at one
+        worker."""
+        from repro.cli import main
+
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "jobs": [{"experiment": "fig9", "seeds": [1], "duration_s": 1}],
+            "workers": 4,
+        }))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--no-cache", str(path)])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert "workers" in errors[0]
+
     @pytest.mark.parametrize("key,value", [
         ("workload", "mixed"), ("workload", ["mixed"]),
         ("throttle", "hlt"), ("power", 5),
@@ -273,6 +292,53 @@ class TestMalformedInput:
     def test_parse_scenario_rejects_bad_duration(self, duration):
         with pytest.raises(ValueError, match="duration_s"):
             parse_scenario({**BASE, "duration_s": duration})
+
+
+class TestBooleanSwitches:
+    """A switch is ``true``, ``false`` or ``null`` (the default): a
+    string such as ``"false"`` or a number would otherwise read as
+    truthy or falsy and flip it without a message."""
+
+    @pytest.mark.parametrize("document,key", [
+        ({**BASE, "options": {"validate": "false"}}, "validate"),
+        ({**BASE, "options": {"fast_path": 0}}, "fast_path"),
+        ({**BASE, "options": {"obs": 1}}, "obs"),
+        ({**BASE, "obs": "no"}, "obs"),
+        ({**BASE, "options": []}, "options"),
+        ({**BASE, "options": 0}, "options"),
+        ({**BASE, "machine": {"preset": "ibm_x445", "smt": "false"}}, "smt"),
+        ({**BASE, "machine": {"preset": "cmp", "smt": 1}}, "smt"),
+        ({**BASE, "throttle": {"enabled": "false"}}, "enabled"),
+    ], ids=["validate-string", "fast-path-zero", "options-obs-one",
+            "obs-string", "options-list", "options-zero", "x445-smt-string",
+            "cmp-smt-one", "throttle-enabled-string"])
+    def test_non_boolean_is_an_error_naming_the_key(self, document, key,
+                                                    tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            read_scenario(document)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-file", str(path)])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert f"'{key}'" in errors[0]
+
+    def test_null_keeps_each_default(self):
+        scenario, options = read_scenario({
+            **BASE,
+            "machine": {"preset": "ibm_x445", "smt": None},
+            "throttle": {"enabled": None},
+            "options": None,
+            "obs": None,
+        })
+        assert scenario.config.machine.smt_enabled
+        assert not scenario.config.throttle.enabled
+        assert options == RunOptions()
 
 
 class TestCadenceAndNoiseKnobs:

@@ -15,8 +15,7 @@ import pytest
 from repro.fleet import FleetUnsupported, check_fleet_supported
 from repro.scenarios import GeneratorSpec, family_by_name, family_names
 from repro.system import System
-from repro.validate import differential_replay
-from repro.validate.fleet import fleet_lockstep
+from repro.validate import differential_replay, fleet_lockstep
 
 #: Small-machine overrides per family: oracle runs replay every tick
 #: twice over, so each instance is kept to a few CPUs and seconds.

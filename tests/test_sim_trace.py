@@ -178,28 +178,6 @@ class TestTracerDecimationBoundaries:
         assert len(tracer.get_series("b")) == 1
 
 
-class TestMigrationReasons:
-    def test_reason_strings_match_the_enum(self):
-        """Every reason string the policies emit is a declared
-        MigrationReason — guards against typo'd counter keys."""
-        from repro.api import run_simulation
-        from repro.config import SystemConfig
-        from repro.cpu.topology import MachineSpec
-        from repro.sim.events import MigrationReason
-        from repro.workloads.generator import mixed_table2_workload
-
-        config = SystemConfig(
-            machine=MachineSpec.smp(4), max_power_per_cpu_w=45.0, seed=9
-        )
-        result = run_simulation(
-            config, mixed_table2_workload(2), policy="energy", duration_s=30
-        )
-        valid = {r.value for r in MigrationReason}
-        seen = {e.detail["reason"] for e in result.migration_events()}
-        assert seen  # the scenario migrates
-        assert seen <= valid
-
-
 class TestTracerEvents:
     def test_event_recording_and_filtering(self):
         tracer = Tracer()

@@ -26,7 +26,7 @@ from repro.cpu.topology import MachineSpec
 from repro.fleet import FleetEngine
 from repro.sim.clock import Clock
 from repro.system import System
-from repro.validate import differential_replay, replay_pair
+from repro.validate import replay_pair
 from repro.workloads.generator import mixed_table2_workload, steady_mix_workload
 
 #: Four two-thread packages (the pair branch) with four time constants.
@@ -84,15 +84,18 @@ class TestFusedThermalLockstep:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.015])
     @pytest.mark.parametrize("machine", sorted(MACHINES))
     def test_paths_identical_per_tick(self, machine, noise_sigma, policy):
-        report = differential_replay(
-            _config(machine, noise_sigma), mixed_table2_workload(1),
-            policy=policy, duration_s=3.0,
+        config = _config(machine, noise_sigma)
+        fast, scalar = (
+            System(config, mixed_table2_workload(1), policy=policy,
+                   fast_path=fast_path)
+            for fast_path in (True, False)
         )
+        report = replay_pair(fast, scalar, n_ticks=300)
         assert report.identical, report.to_dict()
         if policy == "hlt-throttle":
             # The scenario must exercise halting, or the halted-share
             # and idle-sibling inputs go untested.
-            assert report.summary_a["average_throttle_fraction"] > 0.1
+            assert fast.throttle.average_fraction() > 0.1
 
     def test_weights_follow_each_cpus_package(self):
         """Each CPU's weight comes from its own package's time constant.

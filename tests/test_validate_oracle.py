@@ -15,7 +15,7 @@ from repro.core.policyspec import policy_names
 from repro.cpu.topology import MachineSpec
 from repro.system import System
 from repro.validate import differential_replay, replay_pair, smt_relabel_check
-from repro.validate.oracle import probe, summary_bytes
+from repro.validate.oracle import probe
 from repro.workloads.generator import mixed_table2_workload
 
 
@@ -41,11 +41,9 @@ class TestDifferentialReplay:
             smp_config(), mixed_table2_workload(1), duration_s=2.0
         )
         assert report.identical
-        assert report.divergence is None
+        assert report.divergences == ()
         assert report.summaries_identical
-        assert summary_bytes(report.summary_a) == summary_bytes(
-            report.summary_b
-        )
+        assert report.n_machines == 1
 
     @pytest.mark.parametrize("policy", policy_names())
     def test_paths_identical_under_each_policy(self, policy):
@@ -70,14 +68,13 @@ class TestDifferentialReplay:
         system_b = System(smp_config(seed=2), workload)
         report = replay_pair(system_a, system_b, n_ticks=100)
         assert not report.identical
-        assert report.divergence is not None
-        assert 1 <= report.divergence.tick <= 100
-        assert report.divergence.fields
+        (divergence,) = report.divergences
+        assert 1 <= divergence.tick <= 100
+        assert divergence.fields
+        assert (divergence.member, divergence.seed) == (0, 1)
         payload = report.to_dict()
         assert payload["identical"] is False
-        assert payload["divergence"]["fields"] == list(
-            report.divergence.fields
-        )
+        assert payload["divergences"][0]["fields"] == list(divergence.fields)
 
     def test_register_divergence_reported(self, monkeypatch):
         # One ulp on one counter register after the fast path's credit.
@@ -95,18 +92,18 @@ class TestDifferentialReplay:
         report = differential_replay(
             smp_config(), mixed_table2_workload(1), duration_s=0.2
         )
-        assert report.divergence is not None
-        assert report.divergence.tick == 5
-        assert report.divergence.fields == ("pmc_counts",)
+        (divergence,) = report.divergences
+        assert divergence.tick == 5
+        assert divergence.fields == ("pmc_counts",)
 
     def test_divergence_details_hold_both_sides(self):
         workload = mixed_table2_workload(1)
         system_a = System(smp_config(seed=1), workload)
         system_b = System(smp_config(seed=2), workload)
         report = replay_pair(system_a, system_b, n_ticks=50)
-        assert report.divergence is not None
-        for name in report.divergence.fields:
-            a, b = report.divergence.details[name]
+        (divergence,) = report.divergences
+        for name in divergence.fields:
+            a, b = divergence.details[name]
             assert a != b
 
     def test_bad_arguments_rejected(self):
